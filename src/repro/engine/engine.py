@@ -12,13 +12,16 @@ when ``jobs > 1``.
 processes (the paper's Table 4 setup: "run in parallel, stop at the first
 answer"), cancelling the losers; ``run_batch`` executes a list of
 :class:`~repro.engine.jobs.JobSpec` with a resumable journal, fanning
-cache-missed check jobs across the worker pool.
+cache-missed check jobs across the worker pool.  That batch wave is the
+only one: a :class:`~repro.engine.remote.Dispatcher` runs it with the job
+queue executing the cold jobs.
 """
 
 from __future__ import annotations
 
 import functools
 import threading
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -28,7 +31,7 @@ from repro.decomp.driver import CheckOutcome, WidthResult, timed_check
 from repro.engine import methods as _methods
 from repro.engine import workers
 from repro.engine.fingerprint import fingerprint
-from repro.engine.jobs import CHECK, PORTFOLIO, WIDTH, JobResult, JobSpec, Journal
+from repro.engine.jobs import CHECK, ERROR, PORTFOLIO, WIDTH, JobResult, JobSpec, Journal
 from repro.engine.methods import PORTFOLIO_KEY as _PORTFOLIO_KEY
 from repro.engine.store import ResultStore
 from repro.obs.metrics import REGISTRY
@@ -143,6 +146,19 @@ class BatchReport:
 
 class _CacheMiss(Exception):
     """Internal: a cache-only replay hit a key the store does not have."""
+
+
+def _executed(spec: JobSpec, outcome: CheckOutcome, winner: str | None = None) -> JobResult:
+    """The result of a check or portfolio job the engine just executed."""
+    return JobResult(
+        spec,
+        outcome.verdict,
+        outcome.seconds,
+        outcome=outcome,
+        winner=winner,
+        counters=outcome.counters,
+        spans=outcome.spans,
+    )
 
 
 def _locked(fn):
@@ -291,6 +307,7 @@ PackedHypergraph` wire views and receive decompositions as mask lists
             if outcome is not None:
                 span.set(source="cache", verdict=outcome.verdict)
                 return outcome
+            self.stats.book(executed=1)
             outcome = self._execute(method, hypergraph, k, timeout)
             self._remember(fp, method, k, timeout, outcome)
             span.set(source="executed", verdict=outcome.verdict)
@@ -308,9 +325,8 @@ PackedHypergraph` wire views and receive decompositions as mask lists
         Both shapes produce a ``worker.exec`` span parented on the ambient
         context and a kernel-counter delta on the outcome: the worker path
         ships them back over the pipe, the in-process path measures them
-        here (``mode="inproc"``).
+        here (``mode="inproc"``).  The caller books the execution.
         """
-        self.stats.book(executed=1)
         if self.parallel:
             return workers.run_checked(
                 method, hypergraph, k, timeout, self.grace, self.packed
@@ -426,35 +442,36 @@ PackedHypergraph` wire views and receive decompositions as mask lists
         the row's metadata, so Table 3 style accounting survives cache hits).
         """
         with TRACER.span("engine.portfolio", parent=trace, k=k) as span:
-            best, per_algorithm = self._portfolio_locked(hypergraph, k, timeout)
+            fp = fingerprint(hypergraph)
+            best, extra, implied = self._lookup(fp, hypergraph, _PORTFOLIO_KEY, k, timeout)
+            if best is None:
+                self.stats.book(executed=1)
+                best, per_algorithm = self._race(fp, hypergraph, k, timeout)
+            elif implied:
+                # A bounds-implied verdict has no per-algorithm race behind
+                # it; the witnessing race ran at a different k, so its
+                # timings must not masquerade as this k's (Table 3 honesty).
+                per_algorithm = {}
+            else:
+                per_algorithm = {
+                    name: CheckOutcome(row[0], row[1], cancelled=bool(row[2]) if len(row) > 2 else False)
+                    for name, row in (extra or {}).get("per", {}).items()
+                }
+                winner = (extra or {}).get("winner")
+                if winner in per_algorithm and best.decomposition is not None:
+                    per_algorithm[winner] = best
             span.set(verdict=best.verdict)
             return best, per_algorithm
 
-    def _portfolio_locked(
+    def _race(
         self,
+        fp: str,
         hypergraph: Hypergraph,
         k: int,
         timeout: float | None,
     ) -> tuple[CheckOutcome, dict[str, CheckOutcome]]:
-        fp = fingerprint(hypergraph)
-        outcome, extra, implied = self._lookup(fp, hypergraph, _PORTFOLIO_KEY, k, timeout)
-        if outcome is not None:
-            if implied:
-                # A bounds-implied verdict has no per-algorithm race behind
-                # it; the witnessing race ran at a different k, so its
-                # timings must not masquerade as this k's (Table 3 honesty).
-                return outcome, {}
-            per_algorithm = {
-                name: CheckOutcome(row[0], row[1], cancelled=bool(row[2]) if len(row) > 2 else False)
-                for name, row in (extra or {}).get("per", {}).items()
-            }
-            winner = (extra or {}).get("winner")
-            if winner in per_algorithm and outcome.decomposition is not None:
-                per_algorithm[winner] = outcome
-            return outcome, per_algorithm
-
+        """Run the portfolio race (no lookup, no booking) and store it."""
         portfolio_methods = _methods.portfolio_methods()
-        self.stats.book(executed=1)
         if self.parallel:
             winner_method, raced = workers.race_checks(
                 list(portfolio_methods.values()), hypergraph, k, timeout,
@@ -513,93 +530,106 @@ PackedHypergraph` wire views and receive decompositions as mask lists
         verdict (``pruned``) — and executed otherwise.  Cache-missed
         single-check jobs fan out across the worker pool when ``jobs > 1``.
         """
+        return self._wave(specs, journal, self._run_cold)
+
+    def _wave(
+        self,
+        specs: list[JobSpec],
+        journal: str | Path | Journal | None,
+        execute: Callable[[list[JobSpec], list[int]], Iterator[tuple[int, JobResult]]],
+    ) -> BatchReport:
+        """The batch contract, whichever executor runs the cold jobs.
+
+        ``execute(specs, cold)`` gets the indices neither the journal nor
+        the store answered and yields ``(index, result)`` as jobs finish —
+        :meth:`_run_cold` in this process, the
+        :class:`~repro.engine.remote.Dispatcher` through the job queue.
+        Answers are journalled as they arrive (``error`` results are not,
+        so a resumed batch asks again); the report counts derive from each
+        result's ``resumed`` / ``cached`` / ``implied`` flags.  A cold check
+        or portfolio job runs without a second lookup and books one request,
+        one store miss (its replay peek) and one execution — or a cache hit
+        if a queue worker found it stored after all; a width sweep books
+        each check attempt in the engine that runs it.
+        """
         if journal is not None and not isinstance(journal, Journal):
             journal = Journal(journal)
         done = journal.load() if journal is not None else {}
 
         # The wave span parents on the first spec that carries a request
-        # trace context — run_batch typically executes on an executor thread
+        # trace context — a wave typically executes on an executor thread
         # where the submitting request's ambient context is unavailable.
         wave_parent = next((s.trace for s in specs if s.trace is not None), None)
         with TRACER.span("engine.wave", parent=wave_parent, jobs=len(specs)) as wave:
-            report = BatchReport(total=len(specs))
             results: list[JobResult | None] = [None] * len(specs)
-            pending: list[int] = []
+            cold: list[int] = []
             for index, spec in enumerate(specs):
                 payload = done.get(spec.key())
                 if payload is not None:
                     results[index] = JobResult.from_journal(spec, payload)
-                    report.resumed += 1
-                else:
-                    pending.append(index)
+                    continue
+                # exact rows, or pruned because stored bounds imply the verdict
+                result = self._replay_from_cache(spec)
+                if result is None:
+                    cold.append(index)
+                    continue
+                results[index] = result
+                if journal is not None:
+                    journal.append(spec, result)
 
-            # Serve whole jobs from the store where possible — either from
-            # exact rows or pruned because stored bounds imply the verdict.
-            to_run: list[int] = []
-            for index in pending:
-                result = self._replay_from_cache(specs[index])
-                if result is not None:
-                    results[index] = result
-                    report.cache_hits += 1
-                    if result.implied:
-                        report.pruned += 1
-                    if journal is not None:
-                        journal.append(specs[index], result)
-                else:
-                    to_run.append(index)
-
-            # Fan cache-missed single checks across the pool; width sweeps and
-            # portfolio races go through their own engine paths (a portfolio
-            # race already uses the pool internally).
-            check_indices = [i for i in to_run if specs[i].kind == CHECK]
-            if self.parallel and len(check_indices) > 1:
-                tasks = [
-                    (specs[i].method, specs[i].hypergraph, specs[i].k, specs[i].timeout)
-                    for i in check_indices
-                ]
-                traces = [specs[i].trace or wave.context for i in check_indices]
-                outcomes = workers.map_checks(
-                    tasks, self.jobs, self.grace, self.packed, traces=traces
-                )
-                if self.store is not None:
-                    # the replay peeks that routed these here were decisive
-                    # misses
-                    self.store.record_misses(len(check_indices))
-                for i, outcome in zip(check_indices, outcomes):
-                    spec = specs[i]
-                    self.stats.book(requests=1, executed=1)
-                    self._remember(
-                        spec.fingerprint, spec.method, spec.k, spec.timeout, outcome
-                    )
-                    results[i] = JobResult(
-                        spec,
-                        outcome.verdict,
-                        outcome.seconds,
-                        outcome=outcome,
-                        counters=outcome.counters,
-                        spans=outcome.spans,
-                    )
-                to_run = [i for i in to_run if specs[i].kind != CHECK]
-
-            for index in to_run:
-                results[index] = self._run_spec(specs[index])
-
-            if journal is not None:
-                for index in pending:
-                    result = results[index]
-                    if result is not None and not result.cached and not result.resumed:
-                        journal.append(specs[index], result)
-
-            report.executed = sum(
-                1 for r in results if r is not None and not r.cached and not r.resumed
+            for index, result in execute(specs, cold):
+                results[index] = result
+                if journal is not None and result.verdict != ERROR:
+                    journal.append(specs[index], result)
+            attempts = [
+                results[i] for i in cold if specs[i].kind != WIDTH and not results[i].resumed
+            ]
+            hits = [r for r in attempts if r.cached]
+            self.stats.book(
+                requests=len(attempts),
+                cache_hits=len(hits),
+                implied=sum(1 for r in hits if r.implied),
+                executed=len(attempts) - len(hits),
             )
-            report.results = [r for r in results if r is not None]
+            if self.store is not None:
+                self.store.record_misses(len(attempts))
+
+            report = BatchReport(total=len(specs), results=results)
+            for result in results:
+                if result.resumed:
+                    report.resumed += 1
+                elif result.cached:
+                    report.cache_hits += 1
+                    report.pruned += int(result.implied)
+                else:
+                    report.executed += 1
             wave.set(
                 resumed=report.resumed,
                 cache_hits=report.cache_hits,
                 executed=report.executed,
             )
             return report
+
+    def _run_cold(
+        self, specs: list[JobSpec], cold: list[int]
+    ) -> Iterator[tuple[int, JobResult]]:
+        """The in-process executor for :meth:`_wave`: cold single checks fan
+        across the worker pool when ``jobs > 1``; width sweeps and portfolio
+        races take their own engine paths (a race uses the pool itself)."""
+        checks = [i for i in cold if specs[i].kind == CHECK]
+        if self.parallel and len(checks) > 1:
+            outcomes = workers.map_checks(
+                [(specs[i].method, specs[i].hypergraph, specs[i].k, specs[i].timeout) for i in checks],
+                self.jobs,
+                self.grace,
+                self.packed,
+                traces=[specs[i].trace or TRACER.current_context() for i in checks],
+            )
+            for i, outcome in zip(checks, outcomes):
+                yield i, self._checked(specs[i], outcome)
+            cold = [i for i in cold if specs[i].kind != CHECK]
+        for i in cold:
+            yield i, self._run_spec(specs[i])
 
     # ------------------------------------------------------------ batch bits
 
@@ -725,48 +755,33 @@ PackedHypergraph` wire views and receive decompositions as mask lists
             implied=implied,
         )
 
+    def _checked(self, spec: JobSpec, outcome: CheckOutcome) -> JobResult:
+        """Store an executed check job's outcome and wrap it as its result."""
+        self._remember(spec.fingerprint, spec.method, spec.k, spec.timeout, outcome)
+        return _executed(spec, outcome)
+
     def _run_spec(self, spec: JobSpec) -> JobResult:
         # Only reached after _replay_from_cache missed (a non-recording peek),
-        # so check jobs execute directly; the peek was the decisive lookup
-        # and is booked as the one miss.  The spec's trace context (if the
-        # submitting request carried one) becomes ambient, so the engine /
-        # worker spans below land in that request's trace instead of the
-        # wave's.
+        # so check and portfolio jobs execute without a second lookup; the
+        # wave books the peek as their one miss.  The spec's trace context
+        # (if the submitting request carried one) becomes ambient, so the
+        # engine / worker spans below land in that request's trace instead
+        # of the wave's.
         with TRACER.attach(spec.trace):
             if spec.kind == CHECK:
-                self.stats.book(requests=1)
-                if self.store is not None:
-                    self.store.record_misses(1)
-                outcome = self._execute(
-                    spec.method, spec.hypergraph, spec.k, spec.timeout
-                )
-                self._remember(
-                    spec.fingerprint, spec.method, spec.k, spec.timeout, outcome
-                )
-                return JobResult(
-                    spec,
-                    outcome.verdict,
-                    outcome.seconds,
-                    outcome=outcome,
-                    counters=outcome.counters,
-                    spans=outcome.spans,
+                return self._checked(
+                    spec, self._execute(spec.method, spec.hypergraph, spec.k, spec.timeout)
                 )
             if spec.kind == PORTFOLIO:
-                outcome, per_algorithm = self.portfolio(
-                    spec.hypergraph, spec.k, spec.timeout
-                )
+                with TRACER.span("engine.portfolio", k=spec.k) as span:
+                    outcome, per_algorithm = self._race(
+                        spec.fingerprint, spec.hypergraph, spec.k, spec.timeout
+                    )
+                    span.set(verdict=outcome.verdict)
                 winner = next(
                     (name for name, o in per_algorithm.items() if o is outcome), None
                 )
-                return JobResult(
-                    spec,
-                    outcome.verdict,
-                    outcome.seconds,
-                    outcome=outcome,
-                    winner=winner,
-                    counters=outcome.counters,
-                    spans=outcome.spans,
-                )
+                return _executed(spec, outcome, winner)
             width_result = self.exact_width(
                 spec.hypergraph, spec.max_k, spec.method, spec.timeout
             )

@@ -32,6 +32,9 @@ WIDTH = "width"
 PORTFOLIO = "portfolio"
 _KINDS = (CHECK, WIDTH, PORTFOLIO)
 
+#: The verdict of a job that got no answer (see ``Dispatcher``); never journalled.
+ERROR = "error"
+
 
 @dataclass(frozen=True)
 class JobSpec:

@@ -14,15 +14,14 @@ wave's leases at a third of the lease interval for as long as the wave
 executes, so slow jobs are not swept out from under a *live* worker; a
 SIGKILLed worker stops heartbeating and its leases simply expire.
 
-The **dispatcher** (:class:`Dispatcher`) is the batch owner's side: it
-mirrors ``DecompositionEngine.run_batch`` — same signature, same
-:class:`~repro.engine.engine.BatchReport` shape, same journal-resume and
-store fast paths — but instead of executing cache-missed jobs in-process it
-enqueues them and waits for workers to finish them, sweeping expired leases
-while it waits.  Enqueueing is idempotent on the spec's content-addressed
-key, so a dispatcher that crashed after enqueueing reconciles on restart:
-jobs the workers finished in the meantime are adopted as resumed results,
-jobs still queued are simply waited for again.
+The **dispatcher** (:class:`Dispatcher`) is the batch owner's side: the
+queue executor behind the engine's one batch path.  The engine's wave
+resumes, replays and journals as always; the dispatcher enqueues the cold
+jobs and waits for workers to finish them, sweeping expired leases while
+it waits.  Enqueueing is idempotent on the spec's content-addressed key,
+so a dispatcher that crashed after enqueueing reconciles on restart: jobs
+the workers finished in the meantime are adopted as resumed results, jobs
+still queued are simply waited for again.
 
 The split keeps every correctness property in one place: the queue proves
 exclusive leases and exactly-once completion, the store proves verdicts,
@@ -38,9 +37,10 @@ import socket
 import threading
 import time
 import uuid
+from collections.abc import Iterator
 
 from repro.engine.engine import BatchReport, DecompositionEngine
-from repro.engine.jobs import JobResult, JobSpec, Journal
+from repro.engine.jobs import ERROR, JobResult, JobSpec, Journal
 from repro.engine.queue import DEAD, DONE, JobLease, JobQueue
 from repro.errors import ReproError
 from repro.obs.metrics import REGISTRY
@@ -141,11 +141,17 @@ class QueueWorker:
         self.completed = 0
         self.failed = 0
         self.lost = 0
-        self._stop = threading.Event()
+        self._stopping = False
 
     def stop(self) -> None:
-        """Ask the pull loop to exit after the current wave (thread-safe)."""
-        self._stop.set()
+        """Ask the pull loop to exit after the current wave.
+
+        Only sets a flag, which the loop reads between waves and idle
+        polls, and takes no lock: ``run_worker``'s signal handler calls it
+        on the loop's own thread, at any point of the loop, where taking a
+        lock the loop holds (an ``Event.wait`` holds one) would deadlock.
+        """
+        self._stopping = True
 
     def run(
         self,
@@ -160,7 +166,7 @@ class QueueWorker:
         a wave in flight always finishes.
         """
         idle_since: float | None = None
-        while not self._stop.is_set():
+        while not self._stopping:
             if max_waves is not None and self.waves >= max_waves:
                 break
             with TRACER.span(
@@ -176,7 +182,7 @@ class QueueWorker:
                     idle_since = now
                 elif max_idle is not None and now - idle_since >= max_idle:
                     break
-                self._stop.wait(self.poll)
+                time.sleep(self.poll)
                 continue
             idle_since = None
             self.waves += 1
@@ -273,14 +279,14 @@ def run_worker(
 
 
 class Dispatcher:
-    """Queue-backed drop-in for ``DecompositionEngine.run_batch``.
+    """The queue executor behind the engine's one batch path.
 
-    The engine (when given) serves the same store fast paths as in-process
-    dispatch — journal resume, exact-row replay, bounds-implied pruning —
-    so only genuinely cold jobs ever reach the queue.  Workers execute
-    those; the dispatcher sweeps expired leases while it waits, which makes
-    worker crash recovery progress even when every worker is dead (the
-    re-queued job is picked up by whichever worker returns first).
+    :meth:`run_batch` is the ``engine``'s batch wave (a store-less engine's
+    when none is given) with only its cold jobs handed to the queue.
+    Workers execute those; the dispatcher sweeps expired leases while it
+    waits, which makes worker crash recovery progress even when every
+    worker is dead (the re-queued job is picked up by whichever worker
+    returns first).
 
     ``run_batch`` blocks until every job is terminal, so it can sit behind
     :class:`~repro.service.scheduler.BatchScheduler`'s executor-thread
@@ -296,7 +302,7 @@ class Dispatcher:
         wait_timeout: float | None = None,
     ):
         self.queue = queue
-        self.engine = engine
+        self.engine = engine if engine is not None else DecompositionEngine()
         self.poll = float(poll)
         self.sweep_interval = float(sweep_interval)
         #: Overall wait cap per run_batch (None = wait forever).  Mostly a
@@ -314,11 +320,8 @@ class Dispatcher:
     ) -> BatchReport:
         """Execute a job list through the queue; same contract as the engine.
 
-        Accounting mirrors :class:`BatchReport`'s in-process semantics:
-        ``resumed`` counts journal (and reconciled-from-queue) skips,
-        ``cache_hits``/``pruned`` count store replays — whether served
-        locally before enqueueing or by the worker that leased the job —
-        and ``executed`` counts jobs a worker actually ran.
+        ``resumed`` also counts jobs adopted from queue rows a previous run
+        finished, and ``cache_hits`` jobs the leasing worker found stored.
 
         ``deadline`` bounds *this call's* queue wait, in seconds: once it
         passes, still-pending jobs resolve as ``error`` results ("deadline
@@ -329,103 +332,67 @@ class Dispatcher:
         ``wait_timeout`` guard (which raises), a deadline is an expected,
         per-wave outcome, not a harness failure.
         """
-        if journal is not None and not isinstance(journal, Journal):
-            journal = Journal(journal)
-        done = journal.load() if journal is not None else {}
+        # not engine.run_batch, which would hold the engine's dispatch lock
+        # for as long as the workers take
+        return self.engine._wave(
+            specs, journal, lambda specs, cold: self._run_cold(specs, cold, deadline)
+        )
 
-        report = BatchReport(total=len(specs))
-        results: list[JobResult | None] = [None] * len(specs)
+    def _run_cold(
+        self, specs: list[JobSpec], cold: list[int], deadline: float | None
+    ) -> Iterator[tuple[int, JobResult]]:
+        """Enqueue each cold job, one row per spec in spec order, then yield
+        results as workers finish them."""
         # job row id -> spec indices: duplicate specs in one batch collapse
         # onto a single queue row (enqueue is key-idempotent), but every
         # index still owes the caller a result.
         waiting: dict[int, list[int]] = {}
-
-        for index, spec in enumerate(specs):
-            payload = done.get(spec.key())
-            if payload is not None:
-                results[index] = JobResult.from_journal(spec, payload)
-                report.resumed += 1
-                continue
-            replayed = self.engine.try_replay(spec) if self.engine is not None else None
-            if replayed is not None:
-                results[index] = replayed
-                report.cache_hits += 1
-                if replayed.implied:
-                    report.pruned += 1
-                if journal is not None:
-                    journal.append(spec, replayed)
-                continue
+        for index in cold:
+            spec = specs[index]
             job = self.queue.enqueue(spec)
             if job.state == DONE and job.result is not None:
                 # A previous dispatcher run enqueued this spec and a worker
                 # finished it while nobody was watching; adopt the stored
-                # outcome instead of re-running.
-                results[index] = JobResult.from_journal(spec, job.result)
-                report.resumed += 1
+                # outcome (as resumed) instead of re-running.
                 self.reconciled += 1
-                if journal is not None:
-                    journal.append(spec, results[index])
-                continue
-            if job.state == DEAD:
-                results[index] = self._dead_result(spec, "exhausted before this run")
-                continue
-            indices = waiting.setdefault(job.job_id, [])
-            if not indices:
-                self.dispatched += 1
-            indices.append(index)
-
-        self._await(specs, results, waiting, report, journal, deadline)
-
-        report.executed = sum(
-            1
-            for r in results
-            if r is not None and not r.cached and not r.resumed and not r.implied
-        )
-        report.results = [r for r in results if r is not None]
-        return report
+                yield index, JobResult.from_journal(spec, job.result)
+            elif job.state == DEAD:
+                yield index, self._dead_result(spec, "exhausted before this run")
+            else:
+                indices = waiting.setdefault(job.job_id, [])
+                if not indices:
+                    self.dispatched += 1
+                indices.append(index)
+        yield from self._await(specs, waiting, deadline)
 
     def _await(
         self,
         specs: list[JobSpec],
-        results: list[JobResult | None],
         waiting: dict[int, list[int]],
-        report: BatchReport,
-        journal: Journal | None,
-        wave_deadline: float | None = None,
-    ) -> None:
-        deadline = (
-            None if self.wait_timeout is None else time.monotonic() + self.wait_timeout
-        )
-        cutoff = (
-            None if wave_deadline is None else time.monotonic() + wave_deadline
-        )
+        wave_deadline: float | None,
+    ) -> Iterator[tuple[int, JobResult]]:
         last_sweep = time.monotonic()
+        deadline = None if self.wait_timeout is None else last_sweep + self.wait_timeout
+        cutoff = None if wave_deadline is None else last_sweep + wave_deadline
         while waiting:
             finished = self.queue.poll(list(waiting))
             for job_id, (state, payload, error) in finished.items():
-                merged = False
-                for index in waiting.pop(job_id):
-                    spec = specs[index]
-                    if state == DONE and payload is not None:
-                        result = JobResult.from_journal(spec, payload)
-                        result.resumed = False
-                        if result.cached:
-                            report.cache_hits += 1
-                            if result.implied:
-                                report.pruned += 1
-                        # The worker's kernel counters travelled in the
-                        # payload; fold them into this process's totals like
-                        # the packed wire protocol does for in-process waves
-                        # (once per job, however many batch indices share it).
-                        if result.counters and not merged:
-                            _kernel_counters.merge(result.counters)
-                            publish_delta(result.counters)
-                            merged = True
-                        results[index] = result
-                    else:
-                        results[index] = self._dead_result(spec, error or "job died")
-                    if journal is not None and results[index] is not None:
-                        journal.append(spec, results[index])
+                indices = waiting.pop(job_id)
+                if state != DONE or payload is None:
+                    for index in indices:
+                        yield index, self._dead_result(specs[index], error or "job died")
+                    continue
+                # The worker's kernel counters travelled in the payload; fold
+                # them into this process's totals like the packed wire
+                # protocol does for in-process waves (once per job, however
+                # many batch indices share it).
+                if payload.get("counters"):
+                    _kernel_counters.merge(payload["counters"])
+                    publish_delta(payload["counters"])
+                for index in indices:
+                    result = JobResult.from_journal(specs[index], payload)
+                    result.resumed = False
+                    yield index, result
             if not waiting:
                 return
             now = time.monotonic()
@@ -436,9 +403,9 @@ class Dispatcher:
                 # Every remaining waiter's deadline has passed: stop waiting
                 # (the jobs stay queued; workers still land their verdicts
                 # in the shared store for the next asker).
-                for job_id in list(waiting):
-                    for index in waiting.pop(job_id):
-                        results[index] = self._dead_result(
+                for indices in waiting.values():
+                    for index in indices:
+                        yield index, self._dead_result(
                             specs[index], "deadline exceeded waiting in queue"
                         )
                 return
@@ -450,14 +417,10 @@ class Dispatcher:
 
     @staticmethod
     def _dead_result(spec: JobSpec, error: str) -> JobResult:
-        """A terminal failure surfaced as an ``error`` verdict.
-
-        Mirrors how the in-process engine surfaces a crashed worker
-        process: the batch completes, the job's verdict says why it has no
-        answer.
-        """
+        """A job without an answer, surfaced as an ``error`` verdict so the
+        batch still completes."""
         logger.warning("job %s died in the queue: %s", spec.name, error)
-        return JobResult(spec, "error", 0.0, counters=None)
+        return JobResult(spec, ERROR, 0.0, counters=None)
 
     def stats(self) -> dict:
         """Dispatcher- plus queue-level accounting for ``/stats``."""

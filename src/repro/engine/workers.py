@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import signal
 import time
 from collections.abc import Callable, Sequence
 from concurrent.futures import ProcessPoolExecutor
@@ -114,6 +115,15 @@ def _method_label(method: str | CheckFunction) -> str:
     return method if isinstance(method, str) else getattr(method, "__name__", "callable")
 
 
+def _detach_signals() -> None:
+    """Drop signal handling a fork inherited (``repro serve``'s asyncio
+    wakeup fd and handlers): :func:`_reap`'s SIGTERM to this worker would
+    otherwise reach the parent's event loop as the server's own SIGTERM."""
+    signal.set_wakeup_fd(-1)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.SIG_DFL)
+
+
 def _child_check(
     conn: Connection,
     method: str | CheckFunction,
@@ -140,6 +150,7 @@ def _child_check(
     its own: the parent's ring, journal handle and registry are inherited
     fork-state it must not double-write.)
     """
+    _detach_signals()
     try:
         try:
             packed = isinstance(payload, PackedHypergraph)
@@ -513,6 +524,7 @@ class CallFailure:
 
 def _child_call(conn: Connection, fn: Callable, args: tuple) -> None:
     """Worker entry point for :func:`map_callables`: report value or error."""
+    _detach_signals()
     try:
         try:
             result = fn(*args)

@@ -4,8 +4,8 @@ The paper's evaluation as one reproducible, resumable surface (the ROADMAP's
 "scenario diversity" item): a JSON :class:`~repro.experiment.corpus.Manifest`
 describes the corpus and protocol, the
 :class:`~repro.experiment.runner.ExperimentRunner` fans it through
-``DecompositionEngine.run_batch`` (or a queue
-:class:`~repro.engine.remote.Dispatcher`) with crash-safe journals, the
+``DecompositionEngine.run_batch`` (its cold jobs optionally executed by a
+queue :class:`~repro.engine.remote.Dispatcher`) with crash-safe journals, the
 :class:`~repro.experiment.results.ExperimentResults` view lazily replays the
 original analysis protocols against the persisted store, and
 :mod:`~repro.experiment.report` renders Tables 1–6 / Figures 3–5 as

@@ -35,7 +35,6 @@ from repro.analysis.hw_analysis import run_hw_analysis
 from repro.benchmark.repository import HyperBenchRepository
 from repro.core.properties import HypergraphStatistics, compute_statistics
 from repro.engine.engine import DecompositionEngine
-from repro.engine.methods import PORTFOLIO_KEY
 from repro.engine.shards import open_result_store
 from repro.experiment.corpus import Manifest, build_corpus
 from repro.experiment.runner import (
@@ -99,21 +98,14 @@ class _ReplayEngine(DecompositionEngine):
             )
         return super()._execute(method, hypergraph, k, timeout)
 
-    def _portfolio_locked(self, hypergraph, k, timeout):
+    def _race(self, fp, hypergraph, k, timeout):
         if self.strict:
-            from repro.engine.fingerprint import fingerprint
-
-            outcome, _, _ = self._lookup(
-                fingerprint(hypergraph), hypergraph, PORTFOLIO_KEY, k, timeout,
-                record=False,
+            raise ExperimentError(
+                f"no stored portfolio verdict for k={k} on "
+                f"{hypergraph.name!r} — the experiment is incomplete; "
+                "`repro experiment resume` it or read it with partial=True"
             )
-            if outcome is None:
-                raise ExperimentError(
-                    f"no stored portfolio verdict for k={k} on "
-                    f"{hypergraph.name!r} — the experiment is incomplete; "
-                    "`repro experiment resume` it or read it with partial=True"
-                )
-        return super()._portfolio_locked(hypergraph, k, timeout)
+        return super()._race(fp, hypergraph, k, timeout)
 
 
 class ExperimentResults:

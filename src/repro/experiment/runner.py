@@ -153,9 +153,10 @@ class ExperimentRunner:
 
     ``engine`` is a :class:`repro.engine.DecompositionEngine` whose store
     must be the experiment's ``store.db``; an optional ``dispatcher``
-    (:class:`repro.engine.remote.Dispatcher`) replaces its ``run_batch``
-    for multi-host execution — both share the journal contract, so a run
-    can even switch between them between interruptions.
+    (:class:`repro.engine.remote.Dispatcher`, the queue executor behind the
+    engine's one batch path) runs the cold jobs on queue workers for
+    multi-host execution — the waves are the same, so a run can even
+    switch between the two between interruptions.
     """
 
     def __init__(

@@ -206,8 +206,9 @@ class BatchScheduler:
         A :class:`~repro.engine.remote.Dispatcher` to route waves through a
         persistent job queue instead of the in-process pool (``repro serve
         --queue``).  The store fast path and coalescing still run here; only
-        the wave execution moves — the dispatcher's ``run_batch`` mirrors
-        the engine's contract, so everything downstream is unchanged.
+        where the cold jobs execute moves — the dispatcher is the queue
+        executor behind the engine's one batch path, so everything
+        downstream is unchanged.
     admission:
         An :class:`~repro.service.overload.AdmissionController`; requests
         past its budget/caps/rates raise :class:`~repro.service.overload.\

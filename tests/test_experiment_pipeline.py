@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 import signal
 import os
+import threading
 from pathlib import Path
 
 import pytest
@@ -29,7 +30,7 @@ from hypothesis import HealthCheck, given, settings
 
 from repro.analysis.experiments import run_full_study
 from repro.benchmark.build import build_default_benchmark
-from repro.engine import DecompositionEngine
+from repro.engine import DecompositionEngine, Dispatcher, JobQueue, QueueWorker
 from repro.engine.shards import open_result_store
 from repro.errors import ReproError
 from repro.experiment import (
@@ -220,6 +221,21 @@ class TestRunner:
         with pytest.raises(ExperimentError, match="incomplete"):
             ExperimentResults(root)
 
+    def test_strict_replay_never_computes(self, triangle):
+        """Reading a complete experiment only replays its store: a missing
+        row raises instead of running a check or a portfolio race, whether
+        asked directly or through a batch."""
+        from repro.engine import JobSpec, ResultStore
+        from repro.experiment.results import _ReplayEngine
+
+        with _ReplayEngine(ResultStore(), strict=True) as engine:
+            with pytest.raises(ExperimentError, match="no stored result"):
+                engine.check(triangle, 2)
+            with pytest.raises(ExperimentError, match="no stored portfolio"):
+                engine.portfolio(triangle, 2)
+            with pytest.raises(ExperimentError, match="no stored portfolio"):
+                engine.run_batch([JobSpec.portfolio(triangle, 2)])
+
     def test_partial_results_compute_missing_checks_live(self, tmp_path):
         root = tmp_path / "partial"
         root.mkdir()
@@ -372,6 +388,36 @@ class TestReport:
 
     def test_golden_csv(self, tiny_report):
         assert tiny_report["csv"] == (GOLDEN / "experiment_report.csv").read_text()
+
+    def test_queued_run_renders_the_goldens(self, tmp_path):
+        """``repro experiment run --queue``: every wave goes through a
+        Dispatcher to a worker sharing the store, and the reports are the
+        goldens, byte for byte."""
+        root = tmp_path / "queued"
+        paths = ExperimentPaths.at(root)
+        root.mkdir()
+        queue = JobQueue(tmp_path / "jobs.db")
+        engine = DecompositionEngine(store=open_result_store(paths.store))
+        worker = QueueWorker(
+            queue, DecompositionEngine(store=open_result_store(paths.store)), poll=0.01
+        )
+        thread = threading.Thread(target=worker.run, daemon=True)
+        thread.start()
+        try:
+            dispatcher = Dispatcher(queue, engine, wait_timeout=120)
+            ExperimentRunner(
+                paths, engine, dispatcher=dispatcher, manifest=TINY_MANIFEST
+            ).run()
+        finally:
+            worker.stop()
+            thread.join(timeout=10)
+            worker.engine.close()
+            engine.close()
+            queue.close()
+        assert not thread.is_alive()
+        with ExperimentResults(root) as results:
+            assert render_markdown(results) == (GOLDEN / "experiment_report.md").read_text()
+            assert render_csv(results) == (GOLDEN / "experiment_report.csv").read_text()
 
     def test_markdown_has_all_artefacts(self, tiny_report):
         for title_bit in ("Table 1", "Table 6", "Figure 3", "Figure 5"):

@@ -37,7 +37,7 @@ from repro.service import (
 from repro.service.client import ServiceError
 from repro.service.overload import CLOSED, HALF_OPEN, OPEN, PRIORITIES
 from repro.service.scheduler import EXPIRED, REJECTED
-from tests.conftest import REPO_ROOT, FakeClock, cycle_hypergraph
+from tests.conftest import REPO_ROOT, FakeClock, clique_hypergraph, cycle_hypergraph
 
 
 def _triangle() -> Hypergraph:
@@ -649,3 +649,48 @@ class TestGracefulDrain:
             assert len(store) >= 1
         finally:
             store.close()
+
+    def test_jobs_2_server_survives_worker_dispatched_checks(self, tmp_path):
+        """A forked check worker must not inherit the server's SIGTERM
+        handling.  Under ``--jobs 2`` every cold check runs in a worker
+        process that is terminated once it has answered, and a portfolio
+        race terminates its losers mid-search; after one race and ten
+        distinct cold checks, every verdict is definite and the server is
+        still running."""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = (
+            str(REPO_ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
+        )
+        proc = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro", "serve",
+                "--port", "0", "--cache", str(tmp_path / "jobs2.db"),
+                "--jobs", "2",
+            ],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
+            text=True,
+        )
+        try:
+            banner = proc.stdout.readline()
+            assert "repro service on http://" in banner, banner
+            port = int(banner.split("http://127.0.0.1:")[1].split()[0].rstrip("/"))
+            with ServiceClient(port=port, timeout=30.0) as client:
+                # GlobalBIP refutes hw(K8) <= 3 in ~0.1 s; BalSep is still
+                # searching when it is cancelled
+                race = client.portfolio(clique_hypergraph(8), 3, timeout=10.0)
+                verdicts = [
+                    client.check(cycle_hypergraph(n), 2)["verdict"]
+                    for n in range(3, 13)
+                ]
+            assert race["verdict"] == "no"
+            assert verdicts == ["yes"] * 10
+            assert proc.poll() is None, "the server shut itself down"
+        finally:
+            if proc.poll() is None:
+                proc.send_signal(signal.SIGTERM)
+            try:
+                proc.wait(timeout=30)
+            except subprocess.TimeoutExpired:
+                proc.kill()
+                proc.wait(timeout=10)
+            proc.stdout.close()

@@ -16,11 +16,14 @@ Four layers of evidence, bottom up:
 4. **End-to-end equivalence** — a two-worker distributed ``run_batch``
    produces verdicts identical to the single-process engine on the same
    specs; a dispatcher that "crashes" resumes from its journal without
-   re-dispatching finished work.
+   re-dispatching finished work; and the engine's one batch wave reports
+   and books alike whether its cold jobs run in-process, in the worker
+   pool or through the queue.
 """
 
 from __future__ import annotations
 
+import contextlib
 import threading
 
 import pytest
@@ -35,6 +38,7 @@ from repro.engine import (
     QueueWorker,
     ResultStore,
 )
+from repro.engine.jobs import CHECK, PORTFOLIO
 from repro.engine.queue import (
     DEAD,
     DONE,
@@ -45,7 +49,14 @@ from repro.engine.queue import (
     spec_from_payload,
 )
 from repro.obs.trace import TraceContext
-from tests.conftest import FakeClock, random_hypergraph, spawn_worker, wait_for_leased
+from tests.conftest import (
+    FakeClock,
+    clique_hypergraph,
+    cycle_hypergraph,
+    random_hypergraph,
+    spawn_worker,
+    wait_for_leased,
+)
 
 
 # ---------------------------------------------------------------- lifecycle
@@ -520,3 +531,148 @@ class TestTwoWorkerEndToEnd:
         # queue row, and nothing was completed twice
         unique_jobs = len({spec.key() for spec in specs})
         assert queue.stats()["counters"]["completed"] == unique_jobs
+
+
+class TestWorkerStop:
+    def test_stop_takes_no_lock_the_pull_loop_can_hold(self):
+        """``repro worker``'s SIGTERM/SIGINT handler calls ``stop()`` on the
+        pull loop's own thread, between any two bytecodes of the loop.  An
+        ``Event.wait`` in the idle poll holds its condition lock on entry
+        and on wake-up, so a ``stop()`` that takes such a lock deadlocks
+        there.  Called from a thread holding every such lock the worker
+        owns, ``stop()`` returns at once."""
+        worker = QueueWorker(JobQueue(), DecompositionEngine())
+        locks = [v._cond for v in vars(worker).values() if isinstance(v, threading.Event)]
+        returned = threading.Event()
+
+        def signal_inside_the_idle_wait() -> None:
+            with contextlib.ExitStack() as held:
+                for lock in locks:
+                    held.enter_context(lock)
+                worker.stop()
+                returned.set()
+
+        threading.Thread(target=signal_inside_the_idle_wait, daemon=True).start()
+        assert returned.wait(1.0), "stop() blocked on a lock its caller holds"
+        assert worker.run() == 0  # a stopped worker leases nothing
+
+
+# ------------------------------------------ one batch path, three executors
+
+
+def _equivalence_batch(kind: str) -> tuple[list[JobSpec], ...]:
+    """``(warm, prefix, answered, cold)``: specs a separate engine runs
+    first, the prefix an earlier run journals, jobs the warm rows answer
+    exactly or by implication, and cold jobs.  Every cold job has a
+    hypergraph of its own: a queue worker would legitimately answer, say,
+    ``check(H, 3)`` from the row ``check(H, 2)`` wrote earlier in the wave."""
+    c, q = cycle_hypergraph, clique_hypergraph
+    if kind == CHECK:
+        warm = [JobSpec.check(c(5), 2)]
+        prefix = [JobSpec.check(c(6), 2), JobSpec.check(c(7), 1)]
+        answered = [JobSpec.check(c(5), 2), JobSpec.check(c(5), 4)]
+        cold = [JobSpec.check(c(8), 2), JobSpec.check(c(9), 1), JobSpec.check(q(4), 2)]
+        cold.append(cold[0])  # a duplicate spec
+    elif kind == PORTFOLIO:
+        warm = [JobSpec.portfolio(c(5), 2)]
+        prefix = [JobSpec.portfolio(c(6), 2)]
+        answered = [JobSpec.portfolio(c(5), 2), JobSpec.portfolio(c(5), 3)]
+        cold = [JobSpec.portfolio(c(8), 2), JobSpec.portfolio(c(9), 1), JobSpec.portfolio(q(4), 2)]
+    else:
+        # hw(K5) = 3: the rows at 2 and 3 answer width(K5) with k = 1 implied
+        warm = [JobSpec.check(q(5), 2), JobSpec.check(q(5), 3), JobSpec.width(c(5), 4)]
+        prefix = [JobSpec.width(c(6), 4), JobSpec.check(c(7), 1)]
+        answered = [JobSpec.width(c(5), 4), JobSpec.width(q(5), 4), JobSpec.check(c(5), 3)]
+        cold = [
+            JobSpec.check(c(8), 2),
+            JobSpec.check(c(8), 2),
+            JobSpec.portfolio(c(9), 2),
+            JobSpec.width(q(4), 4),
+            JobSpec.width(c(10), 3),
+        ]
+    return warm, prefix, answered, cold
+
+
+@contextlib.contextmanager
+def _executor(name: str, root):
+    """``(runner, engine)``: something with ``run_batch`` and the engine
+    whose counters book its waves, over a fresh store at ``root``."""
+    root.mkdir()
+    store_path = root / "store.db"
+    engine = DecompositionEngine(store=ResultStore(store_path), jobs=2 if name == "pool" else 1)
+    if name != "queue":
+        with engine:
+            yield engine, engine
+        return
+    queue = JobQueue(root / "queue.db")
+    worker = QueueWorker(
+        queue, DecompositionEngine(store=ResultStore(store_path)), lease_n=4, poll=0.01
+    )
+    thread = threading.Thread(target=worker.run, kwargs={"max_idle": 60}, daemon=True)
+    thread.start()
+    try:
+        yield Dispatcher(queue, engine, wait_timeout=60), engine
+    finally:
+        worker.stop()
+        thread.join(timeout=10)
+        worker.engine.close()
+        engine.close()
+        queue.close()
+
+
+@pytest.mark.parametrize("kind", [CHECK, PORTFOLIO, "mixed"])
+def test_every_executor_runs_the_same_wave(tmp_path, kind):
+    """In-process, worker pool and job queue behind one batch wave: the
+    same verdicts and report, and (for check and portfolio batches, whose
+    jobs are one attempt each) the engine's ``executed`` counter grows by
+    exactly the report's ``executed``."""
+    seen = {}
+    for name in ("inproc", "pool", "queue"):
+        warm, prefix, answered, cold = _equivalence_batch(kind)
+        batch = prefix + answered + cold
+        with _executor(name, tmp_path / name) as (runner, engine):
+            with DecompositionEngine(store=ResultStore(engine.store.path)) as warmer:
+                warmer.run_batch(warm)
+            journal = tmp_path / f"{name}.jsonl"
+            runner.run_batch(prefix, journal=journal)
+            before = engine.stats.executed
+            report = runner.run_batch(batch, journal=journal)
+            if kind != "mixed":
+                assert engine.stats.executed - before == report.executed, name
+        seen[name] = (
+            (report.total, report.resumed, report.cache_hits, report.pruned, report.executed),
+            [(r.verdict, r.cached, r.implied, r.resumed, r.lower, r.upper) for r in report.results],
+        )
+    (total, resumed, cache_hits, pruned, executed), results = seen["inproc"]
+    assert (total, resumed, cache_hits, executed) == (
+        len(batch), len(prefix), len(answered), len(cold)
+    )
+    assert pruned >= 1
+    assert all(verdict in ("yes", "no", "exact") for verdict, *_ in results)
+    assert seen["pool"] == seen["inproc"]
+    assert seen["queue"] == seen["inproc"]
+
+
+def test_a_job_without_an_answer_is_not_journalled(tmp_path):
+    """A job that dies in the queue surfaces as an ``error`` result but
+    leaves no journal line, so a resumed batch asks for it again."""
+    import time
+
+    queue = JobQueue(tmp_path / "queue.db", max_attempts=1, backoff=0.0)
+    spec = JobSpec.check(random_hypergraph(0), 2)
+
+    def crash_on_first_lease() -> None:
+        while not (leases := queue.lease("crashy", 1)):
+            time.sleep(0.01)
+        queue.fail("crashy", leases[0].job_id, "simulated crash")
+
+    crasher = threading.Thread(target=crash_on_first_lease, daemon=True)
+    crasher.start()
+    journal = tmp_path / "batch.jsonl"
+    report = Dispatcher(queue, wait_timeout=30).run_batch([spec], journal=journal)
+    crasher.join(timeout=10)
+    assert not crasher.is_alive()
+    assert report.results[0].verdict == "error" and report.executed == 1
+    assert not journal.exists() or journal.read_text() == ""
+    again = Dispatcher(queue, wait_timeout=30).run_batch([spec], journal=journal)
+    assert again.resumed == 0 and again.results[0].verdict == "error"
