@@ -6,10 +6,9 @@ instances across the hw / ghw / balsep methods), writes ``BENCH_kernel.json``
 (per-case wall time, components/covers call counts, per-case speedup), and
 optionally gates against a committed baseline.  Unless ``--no-dispatch`` is
 given, the report also carries a ``"dispatch"`` section: an engine
-``run_batch`` of ≥ 50 small instances through ≥ 2 worker processes, timed
-once over the packed :class:`repro.core.bitset.PackedHypergraph` wire
-format and once over the legacy pickle path, with every verdict
-cross-checked against the frozen reference kernel.
+``run_batch`` of ≥ 50 small instances through ≥ 2 worker processes over
+the :class:`repro.core.bitset.PackedHypergraph` wire format, timed, with
+every verdict cross-checked against the frozen reference kernel.
 
 Usage::
 
@@ -18,8 +17,8 @@ Usage::
         --baseline benchmarks/BENCH_kernel.baseline.json               # CI
 
 Exit status is non-zero on any verdict mismatch between the kernels, any
-packed-dispatch verdict mismatch vs the reference kernel, or any baseline
-regression (> 2x plus a 50 ms floor).
+dispatch verdict mismatch vs the reference kernel, telemetry overhead above
+the 1.05x gate, or any baseline regression (> 2x plus a 50 ms floor).
 """
 
 import sys

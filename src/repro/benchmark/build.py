@@ -18,6 +18,7 @@ from repro.benchmark.generators import (
     generate_random_csps,
 )
 from repro.benchmark.repository import HyperBenchRepository
+from repro.errors import ReproError
 
 __all__ = ["build_default_benchmark", "DEFAULT_CLASS_COUNTS"]
 
@@ -59,20 +60,24 @@ def build_default_benchmark(
     supplied, the five class generators run in parallel worker processes;
     each generator is deterministic in ``seed`` and the classes are merged
     in their fixed order, so the result is identical to the sequential
-    build.
+    build.  A generator that raises or kills its worker raises
+    :class:`~repro.errors.ReproError` naming its class: the build never
+    returns a repository missing a class.
     """
     repository = HyperBenchRepository(name=name)
     classes = list(DEFAULT_CLASS_COUNTS.items())
     jobs = getattr(engine, "jobs", 1) if engine is not None else 1
     if jobs > 1:
-        from repro.engine.workers import run_callables
+        from repro.engine.workers import CallFailure, map_callables
 
         calls = [
             (_GENERATORS[benchmark_class], (max(2, round(base_count * scale)), seed))
             for benchmark_class, base_count in classes
         ]
-        generated = run_callables(calls, jobs)
+        generated = map_callables(calls, jobs)
         for (benchmark_class, _), hypergraphs in zip(classes, generated):
+            if isinstance(hypergraphs, CallFailure):
+                raise ReproError(f"generating {benchmark_class}: {hypergraphs.reason}")
             for hypergraph in hypergraphs:
                 repository.add(hypergraph, benchmark_class)
     else:

@@ -179,7 +179,10 @@ class HyperBenchRepository:
         killable worker with an optional per-entry hard ``timeout``, and a
         worker that crashes or overruns is recorded as a per-entry timeout —
         the entry's statistics stay ``None`` — instead of poisoning the whole
-        repository.  A cooperative ``deadline`` cannot cross the process
+        repository.  A statistics function that *raises* is a bug, not a
+        timeout: that raises :class:`~repro.errors.ReproError` carrying the
+        call's failure text, as the sequential path raises the exception
+        itself.  A cooperative ``deadline`` cannot cross the process
         boundary; when no ``timeout`` is given its remaining budget becomes
         the per-entry hard cap, so no single entry outlives it.  Returns
         ``{instance name: "timeout"}`` for the entries that failed (always
@@ -210,6 +213,8 @@ class HyperBenchRepository:
         failures: dict[str, str] = {}
         for entry, result in zip(pending, results):
             if isinstance(result, CallFailure):
+                if result.raised:
+                    raise ReproError(f"statistics of {entry.name}: {result.reason}")
                 failures[entry.name] = "timeout"
             else:
                 entry.statistics = result

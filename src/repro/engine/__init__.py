@@ -26,7 +26,12 @@ everywhere, so existing callers and tests keep their deterministic behaviour.
 from repro.engine.engine import BatchReport, DecompositionEngine, EngineStats
 from repro.engine.fingerprint import canonical_form, fingerprint, structural_fingerprint
 from repro.engine.jobs import JobResult, JobSpec, Journal
-from repro.engine.methods import CHECK_METHODS, MethodSpec
+from repro.engine.methods import (
+    CHECK_METHODS,
+    MethodSpec,
+    register_check as register_method,
+    resolve as resolve_method,
+)
 from repro.engine.queue import JobLease, JobQueue
 from repro.engine.remote import Dispatcher, QueueWorker
 from repro.engine.shards import ShardedResultStore, open_result_store
@@ -42,9 +47,6 @@ from repro.engine.workers import (
     map_callables,
     map_checks,
     race_checks,
-    register_method,
-    resolve_method,
-    run_callables,
     run_checked,
 )
 
@@ -78,5 +80,4 @@ __all__ = [
     "map_checks",
     "map_callables",
     "CallFailure",
-    "run_callables",
 ]

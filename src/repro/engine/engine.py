@@ -204,26 +204,11 @@ class DecompositionEngine:
         fallback that preserves the library's historical behaviour;
         ``> 1`` enables hard-timeout worker processes, the parallel
         portfolio race, and batch fan-out.
-    grace:
-        Seconds past the cooperative budget before a worker is killed.
-    packed:
-        Ship hypergraphs to workers as :class:`~repro.core.bitset.\
-PackedHypergraph` wire views and receive decompositions as mask lists
-        (the default).  ``False`` selects the legacy pickle path — kept for
-        the dispatch-overhead microbenchmark in :mod:`repro.perf.harness`.
     """
 
-    def __init__(
-        self,
-        store: ResultStore | None = None,
-        jobs: int = 1,
-        grace: float = workers.DEFAULT_GRACE,
-        packed: bool = True,
-    ):
+    def __init__(self, store: ResultStore | None = None, jobs: int = 1):
         self.store = store
         self.jobs = max(1, int(jobs))
-        self.grace = grace
-        self.packed = packed
         self.stats = EngineStats()
         # Dispatch entry points serialise here (see _locked); the store has
         # its own lock, so cache peeks never wait behind a running wave.
@@ -328,12 +313,10 @@ PackedHypergraph` wire views and receive decompositions as mask lists
         here (``mode="inproc"``).  The caller books the execution.
         """
         if self.parallel:
-            return workers.run_checked(
-                method, hypergraph, k, timeout, self.grace, self.packed
-            )
+            return workers.run_checked(method, hypergraph, k, timeout)
         before = _kernel_counters.snapshot()
         with TRACER.span("worker.exec", method=method, k=k, mode="inproc") as span:
-            outcome = timed_check(workers.resolve_method(method), hypergraph, k, timeout)
+            outcome = timed_check(_methods.resolve(method), hypergraph, k, timeout)
             delta = _kernel_counters.delta_since(before)
             publish_delta(delta)
             outcome.counters = delta or None
@@ -384,7 +367,7 @@ PackedHypergraph` wire views and receive decompositions as mask lists
                 return self.check(h, k, method=method, timeout=t)
 
             return driver.exact_width(
-                workers.resolve_method(method), hypergraph, max_k, timeout, runner=runner
+                _methods.resolve(method), hypergraph, max_k, timeout, runner=runner
             )
 
     def _bisect_width(
@@ -474,8 +457,7 @@ PackedHypergraph` wire views and receive decompositions as mask lists
         portfolio_methods = _methods.portfolio_methods()
         if self.parallel:
             winner_method, raced = workers.race_checks(
-                list(portfolio_methods.values()), hypergraph, k, timeout,
-                self.grace, self.packed,
+                list(portfolio_methods.values()), hypergraph, k, timeout
             )
             per_algorithm = {
                 display: raced[registry]
@@ -621,8 +603,6 @@ PackedHypergraph` wire views and receive decompositions as mask lists
             outcomes = workers.map_checks(
                 [(specs[i].method, specs[i].hypergraph, specs[i].k, specs[i].timeout) for i in checks],
                 self.jobs,
-                self.grace,
-                self.packed,
                 traces=[specs[i].trace or TRACER.current_context() for i in checks],
             )
             for i, outcome in zip(checks, outcomes):
@@ -721,7 +701,7 @@ PackedHypergraph` wire views and receive decompositions as mask lists
 
         try:
             width_result = driver.exact_width(
-                workers.resolve_method(spec.method),
+                _methods.resolve(spec.method),
                 spec.hypergraph,
                 spec.max_k,
                 spec.timeout,

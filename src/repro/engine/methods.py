@@ -210,8 +210,8 @@ def register(spec: MethodSpec) -> MethodSpec:
 def register_check(name: str, check: Callable) -> MethodSpec:
     """Register a bare check function as an ad-hoc method.
 
-    The historical ``workers.register_method`` surface: experiments and
-    tests inject custom callables this way.  A *fresh* name claims no width
+    Exported as ``repro.engine.register_method``: experiments and tests
+    inject custom callables this way.  A *fresh* name claims no width
     kind, so it never feeds or consumes the bounds index; overriding an
     existing name swaps only the check function and keeps the spec's
     metadata (kind, monotonicity, race eligibility) — the historical

@@ -7,30 +7,32 @@ Running each attempt in its own worker process lets the parent *kill* the
 worker when the wall-clock budget is gone — the paper's cluster runs enforce
 their 3600 s timeouts the same way.
 
-Three execution shapes are provided:
+Four execution shapes are provided:
 
 * :func:`run_checked` — one attempt in one worker, killed at
   ``timeout + grace``;
 * :func:`race_checks` — the Table 4 portfolio: one worker per algorithm,
-  first definite answer wins, losers are cancelled;
-* :func:`map_checks` — a bounded pool streaming a task list through at most
-  ``jobs`` concurrent workers, each with its own hard budget.
+  the first definite answer to arrive wins, losers still running are
+  cancelled;
+* :func:`map_checks` — a task list streamed through at most ``jobs``
+  concurrent workers, each with its own hard budget;
+* :func:`map_callables` — generic ``fn(*args)`` calls streamed the same
+  way; a call that raises, crashes its worker (OOM kill, ``os._exit``) or
+  overruns yields a :class:`CallFailure` in its slot instead of poisoning
+  the batch (parallel statistics and the parallel benchmark build use it).
 
-Per-attempt processes (rather than a long-lived ``ProcessPoolExecutor``) are
-deliberate: an executor cannot kill a single hung task without tearing down
-the whole pool.  For side-effect-free bulk work with no timeouts (e.g.
-parallel benchmark generation) :func:`run_callables` *does* use
-:class:`concurrent.futures.ProcessPoolExecutor`; :func:`map_callables` is its
-fault-isolating sibling — generic calls streamed through killable workers,
-where a crash or overrun yields a :class:`CallFailure` in that slot instead
-of poisoning the batch (the repository's parallel statistics use it).
+All four run through one loop, :func:`_stream_pool` — the only code here
+that starts workers, waits on their pipes, kills overdue ones and reaps
+them.  Per-attempt processes (rather than a long-lived executor pool) are
+deliberate: an executor cannot kill a single hung task without tearing
+down the whole pool.
 
 Workers resolve check functions from the :mod:`repro.engine.methods`
 registry by name, so only a short string crosses the process boundary;
 picklable callables are accepted too (tests use this to inject
 uncooperative loops).
 
-**Wire format.**  Hypergraphs ship as
+**Wire format.**  There is one.  Hypergraphs ship as
 :class:`~repro.core.bitset.PackedHypergraph` — name tables plus one integer
 mask per edge, packed *once per (hypergraph, batch)* — and the worker
 rebuilds the named hypergraph and its dense
@@ -38,10 +40,7 @@ rebuilds the named hypergraph and its dense
 or re-deriving anything.  Results travel back the same way: a yes-verdict's
 decomposition is serialized as nested ``(bag mask, (edge index, weight)…)``
 tuples and re-named only at the parent, so the result pipe never carries a
-pickled hypergraph (the pre-refactor pickle of a ``Decomposition`` dragged
-its whole ``hypergraph`` attribute along with every answer).  Pass
-``packed=False`` to get the legacy pickle path — kept for the dispatch
-microbenchmark in :mod:`repro.perf.harness`.
+pickled hypergraph.
 """
 
 from __future__ import annotations
@@ -51,7 +50,6 @@ import os
 import signal
 import time
 from collections.abc import Callable, Sequence
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from multiprocessing.connection import Connection, wait as _wait_connections
 
@@ -59,21 +57,16 @@ from repro.core.bitset import PackedHypergraph, pack_decomposition, unpack_decom
 from repro.core.hypergraph import Hypergraph
 from repro.decomp.driver import TIMEOUT, CheckFunction, CheckOutcome, timed_check
 from repro.engine import methods as _methods
-from repro.engine.methods import CHECK_METHODS
 from repro.obs.trace import TRACER, make_span
 from repro.perf import counters, publish_delta
 
 __all__ = [
-    "CHECK_METHODS",
     "DEFAULT_GRACE",
     "CallFailure",
-    "register_method",
-    "resolve_method",
     "run_checked",
     "race_checks",
     "map_checks",
     "map_callables",
-    "run_callables",
 ]
 
 #: Extra seconds past the cooperative budget before the worker is killed.
@@ -88,27 +81,7 @@ else:  # pragma: no cover - non-POSIX fallback
     _CTX = multiprocessing.get_context()
 
 
-def register_method(name: str, check: CheckFunction) -> None:
-    """Register a custom check function under ``name`` (e.g. for experiments).
-
-    Thin wrapper over :func:`repro.engine.methods.register_check`: the
-    method lands in the shared registry as an ad-hoc, non-monotone spec.
-    """
-    _methods.register_check(name, check)
-
-
-def resolve_method(method: str | CheckFunction) -> CheckFunction:
-    """Map a registry name (or pass a callable through) to a check function."""
-    return _methods.resolve(method)
-
-
 # ---------------------------------------------------------------- primitives
-
-#: Tag of a mask-serialized outcome on the result pipe.
-_WIRE_OUTCOME = "__wire__"
-
-#: Tag of a legacy pickled outcome travelling with its telemetry.
-_WIRE_PICKLED = "__pickled__"
 
 
 def _method_label(method: str | CheckFunction) -> str:
@@ -127,18 +100,16 @@ def _detach_signals() -> None:
 def _child_check(
     conn: Connection,
     method: str | CheckFunction,
-    payload: "PackedHypergraph | Hypergraph",
+    payload: PackedHypergraph,
     k: int,
     timeout: float | None,
-    trace: tuple | None = None,
+    trace: tuple | None,
 ) -> None:
     """Worker entry point: run one timed check, ship the outcome back.
 
-    A :class:`PackedHypergraph` payload is unpacked (view and fingerprint
-    land pre-cached) and the outcome is serialized back in mask form; a
-    plain hypergraph round-trips the legacy pickled :class:`CheckOutcome`
-    (now tagged, so its telemetry rides along).  Exceptions are shipped back
-    too, so a programming error inside a check function surfaces in the
+    The packed payload is unpacked (view and fingerprint land pre-cached)
+    and the outcome is serialized back in mask form.  Exceptions are shipped
+    back too, so a programming error inside a check function surfaces in the
     parent instead of masquerading as a timeout; only a worker that *dies*
     (OOM kill, crash) reads as a timeout.
 
@@ -153,8 +124,7 @@ def _child_check(
     _detach_signals()
     try:
         try:
-            packed = isinstance(payload, PackedHypergraph)
-            hypergraph = payload.unpack() if packed else payload
+            hypergraph = payload.unpack()
             before = counters.snapshot()
             span = make_span(
                 "worker.exec",
@@ -164,7 +134,7 @@ def _child_check(
                 mode="worker",
                 pid=os.getpid(),
             )
-            outcome = timed_check(resolve_method(method), hypergraph, k, timeout)
+            outcome = timed_check(_methods.resolve(method), hypergraph, k, timeout)
         except Exception as exc:  # noqa: BLE001 - forwarded to the parent
             conn.send(exc)
         else:
@@ -174,26 +144,14 @@ def _child_check(
                 seconds=outcome.seconds,
                 **{f"kernel_{name}": value for name, value in delta.items()},
             )
-            telemetry = {"counters": delta, "spans": [span.to_dict()]}
-            if packed:
-                decomposition = (
-                    pack_decomposition(outcome.decomposition)
-                    if outcome.decomposition is not None
-                    else None
-                )
-                conn.send(
-                    (
-                        _WIRE_OUTCOME,
-                        outcome.verdict,
-                        outcome.seconds,
-                        decomposition,
-                        telemetry,
-                    )
-                )
-            else:
-                # Legacy path: the decomposition travels back via pickle,
-                # dragging its hypergraph along; drop nothing.
-                conn.send((_WIRE_PICKLED, outcome, telemetry))
+            decomposition = (
+                pack_decomposition(outcome.decomposition)
+                if outcome.decomposition is not None
+                else None
+            )
+            conn.send(
+                (outcome.verdict, outcome.seconds, decomposition, delta, [span.to_dict()])
+            )
     finally:
         conn.close()
 
@@ -212,30 +170,22 @@ def _hard_budget(timeout: float | None, grace: float) -> float | None:
     return None if timeout is None else timeout + grace
 
 
-def _payload_for(hypergraph: Hypergraph, packed: bool) -> "PackedHypergraph | Hypergraph":
-    return PackedHypergraph.pack(hypergraph) if packed else hypergraph
-
-
-def _spawn(
-    method: str | CheckFunction,
-    payload: "PackedHypergraph | Hypergraph",
-    k: int,
-    timeout: float | None,
-    trace: tuple | None = None,
-) -> tuple[multiprocessing.Process, Connection]:
-    resolve_method(method)  # fail in the parent on unknown method names
+def _spawn(target: Callable, *args: object) -> tuple[multiprocessing.Process, Connection]:
+    """Start ``target(conn, *args)`` in a fresh worker; returns the process
+    and the read end of the pipe it answers on."""
     parent_conn, child_conn = _CTX.Pipe(duplex=False)
-    process = _CTX.Process(
-        target=_child_check,
-        args=(child_conn, method, payload, k, timeout, trace),
-        daemon=True,
-    )
-    process.start()
-    child_conn.close()
+    try:
+        process = _CTX.Process(target=target, args=(child_conn, *args), daemon=True)
+        process.start()
+    except BaseException:
+        parent_conn.close()
+        raise
+    finally:
+        child_conn.close()
     return process, parent_conn
 
 
-def _adopt_telemetry(outcome: CheckOutcome, telemetry: object) -> CheckOutcome:
+def _adopt_telemetry(outcome: CheckOutcome, delta: dict, spans: list) -> CheckOutcome:
     """Merge a worker's shipped telemetry into the parent process.
 
     The counter delta folds into the parent's :data:`~repro.perf.counters`
@@ -244,10 +194,6 @@ def _adopt_telemetry(outcome: CheckOutcome, telemetry: object) -> CheckOutcome:
     the parent tracer's ring/journal.  Both also ride on the outcome so the
     engine can attach them to the :class:`~repro.engine.jobs.JobResult`.
     """
-    if not isinstance(telemetry, dict):
-        return outcome
-    delta = telemetry.get("counters")
-    spans = telemetry.get("spans")
     if delta:
         counters.merge(delta)
         publish_delta(delta)
@@ -258,18 +204,14 @@ def _adopt_telemetry(outcome: CheckOutcome, telemetry: object) -> CheckOutcome:
     return outcome
 
 
-def _receive(
-    conn: Connection,
-    fallback_seconds: float,
-    hypergraph: Hypergraph | None = None,
-) -> CheckOutcome:
+def _receive(conn: Connection, fallback_seconds: float, hypergraph: Hypergraph) -> CheckOutcome:
     """Read a worker's outcome; a dead pipe (crash, OOM-kill) is a timeout.
 
     The paper treats resource blow-ups the same way (GlobalBIP's subedge
     explosions are recorded as timeouts), so a worker that dies without an
     answer gets the same verdict.  A forwarded exception re-raises here.
-    A mask-serialized outcome is re-named against ``hypergraph`` — the
-    parent's original instance, whose cached view does the naming.
+    The mask-serialized decomposition is re-named against ``hypergraph`` —
+    the parent's original instance, whose cached view does the naming.
     """
     try:
         result = conn.recv()
@@ -277,117 +219,12 @@ def _receive(
         return CheckOutcome(TIMEOUT, fallback_seconds)
     if isinstance(result, Exception):
         raise result
-    if isinstance(result, tuple) and result and result[0] == _WIRE_OUTCOME:
-        _, verdict, seconds, payload, telemetry = result
-        decomposition = (
-            unpack_decomposition(payload, hypergraph)
-            if payload is not None and hypergraph is not None
-            else None
-        )
-        return _adopt_telemetry(CheckOutcome(verdict, seconds, decomposition), telemetry)
-    if isinstance(result, tuple) and result and result[0] == _WIRE_PICKLED:
-        _, outcome, telemetry = result
-        return _adopt_telemetry(outcome, telemetry)
-    return result
+    verdict, seconds, payload, delta, spans = result
+    decomposition = None if payload is None else unpack_decomposition(payload, hypergraph)
+    return _adopt_telemetry(CheckOutcome(verdict, seconds, decomposition), delta, spans)
 
 
-# -------------------------------------------------------------- single check
-
-
-def run_checked(
-    method: str | CheckFunction,
-    hypergraph: Hypergraph,
-    k: int,
-    timeout: float | None = None,
-    grace: float = DEFAULT_GRACE,
-    packed: bool = True,
-    trace: tuple | None = None,
-) -> CheckOutcome:
-    """Run one ``Check(H, k)`` in a worker process with a hard timeout.
-
-    The worker still polls the cooperative deadline (so well-behaved searches
-    stop themselves near ``timeout``); the parent kills it at
-    ``timeout + grace`` regardless.  With ``packed`` (the default) the
-    hypergraph ships as a :class:`PackedHypergraph` and the decomposition
-    returns as masks, re-named here against the caller's instance.
-
-    ``trace`` (a :class:`~repro.obs.TraceContext`, defaulting to the ambient
-    one) parents the worker's ``worker.exec`` span; the worker's kernel
-    counter delta and span records come back with the outcome.
-    """
-    if trace is None:
-        trace = TRACER.current_context()
-    process, conn = _spawn(method, _payload_for(hypergraph, packed), k, timeout, trace)
-    start = time.perf_counter()
-    try:
-        if conn.poll(_hard_budget(timeout, grace)):
-            return _receive(conn, time.perf_counter() - start, hypergraph)
-        return CheckOutcome(TIMEOUT, time.perf_counter() - start)
-    finally:
-        conn.close()
-        _reap(process)
-
-
-# ---------------------------------------------------------------- portfolio
-
-
-def race_checks(
-    methods: Sequence[str],
-    hypergraph: Hypergraph,
-    k: int,
-    timeout: float | None = None,
-    grace: float = DEFAULT_GRACE,
-    packed: bool = True,
-    trace: tuple | None = None,
-) -> tuple[str | None, dict[str, CheckOutcome]]:
-    """Race one worker per method; the first definite answer wins.
-
-    Returns ``(winner, per_method)``.  ``winner`` is ``None`` when nobody
-    answered.  Losers still running when the winner reports are cancelled
-    (killed) and recorded as timeouts at their cancellation time; methods
-    that finished *before* the winner keep their genuine outcomes.  The
-    hypergraph is packed once and shared by every racer; every racer's
-    ``worker.exec`` span parents on ``trace`` (default: ambient context).
-    """
-    if trace is None:
-        trace = TRACER.current_context()
-    payload = _payload_for(hypergraph, packed)
-    processes: dict[str, multiprocessing.Process] = {}
-    pending: dict[Connection, str] = {}
-    for method in methods:
-        process, conn = _spawn(method, payload, k, timeout, trace)
-        processes[method] = process
-        pending[conn] = method
-    start = time.perf_counter()
-    deadline = None if timeout is None else start + timeout + grace
-    results: dict[str, CheckOutcome] = {}
-    winner: str | None = None
-    try:
-        while pending and winner is None:
-            remaining = None if deadline is None else max(0.0, deadline - time.perf_counter())
-            ready = _wait_connections(list(pending), remaining)
-            if not ready:
-                break  # hard budget exhausted for everyone still running
-            for conn in ready:
-                method = pending.pop(conn)  # type: ignore[arg-type]
-                outcome = _receive(conn, time.perf_counter() - start, hypergraph)  # type: ignore[arg-type]
-                conn.close()  # type: ignore[attr-defined]
-                results[method] = outcome
-                if winner is None and outcome.answered:
-                    winner = method
-        cancelled_at = time.perf_counter() - start
-        still_racing = winner is not None
-        for method in pending.values():
-            results[method] = CheckOutcome(TIMEOUT, cancelled_at, cancelled=still_racing)
-    finally:
-        for conn in pending:
-            conn.close()
-        for process in processes.values():
-            _reap(process)
-    return winner, results
-
-
-# -------------------------------------------------------------- bounded pool
+# ---------------------------------------------------------------- the loop
 
 
 def _stream_pool(
@@ -396,13 +233,20 @@ def _stream_pool(
     start: Callable[[int], tuple[multiprocessing.Process, Connection, float | None]],
     receive: Callable[[Connection, float, int], object],
     expire: Callable[[float], object],
+    stop: Callable[[], bool] = lambda: False,
 ) -> list[object]:
     """Stream ``count`` tasks through ≤ ``jobs`` workers, results in order.
 
     ``start(index)`` spawns task ``index`` and returns ``(process, conn,
     hard budget in seconds or None)``; ``receive(conn, elapsed, index)``
     reads a finished worker's result; ``expire(elapsed)`` is the result
-    recorded for a worker killed at its hard budget.
+    recorded for a worker killed at its hard budget.  ``stop()`` is asked
+    after each round of arrivals: once it holds, no further task starts
+    and every worker still running is killed, its slot getting
+    ``expire(elapsed)`` too (tasks never started stay ``None``).
+
+    Workers start inside the ``try``, so a ``start`` or ``receive`` that
+    raises still reaps every worker already running.
     """
     results: list[object] = [None] * count
     active: dict[Connection, tuple[int, multiprocessing.Process, float, float | None]] = {}
@@ -425,20 +269,20 @@ def _stream_pool(
             ready = _wait_connections(list(active), poll)
             now = time.perf_counter()
             for conn in ready:
-                index, process, started, _ = active.pop(conn)  # type: ignore[arg-type]
+                index, process, started, _ = active[conn]  # type: ignore[index]
                 results[index] = receive(conn, now - started, index)  # type: ignore[arg-type]
+                del active[conn]  # type: ignore[arg-type]
                 conn.close()  # type: ignore[attr-defined]
                 _reap(process)
-            overdue = [
-                conn
-                for conn, (_, _, _, deadline) in active.items()
-                if deadline is not None and now >= deadline
-            ]
-            for conn in overdue:
-                index, process, started, _ = active.pop(conn)
-                results[index] = expire(now - started)
-                conn.close()
-                _reap(process)
+            stopping = stop()
+            for conn, (index, process, started, deadline) in list(active.items()):
+                if stopping or (deadline is not None and now >= deadline):
+                    del active[conn]
+                    results[index] = expire(now - started)
+                    conn.close()
+                    _reap(process)
+            if stopping:
+                break
     finally:
         for conn, (_, process, _, _) in active.items():
             conn.close()
@@ -446,11 +290,112 @@ def _stream_pool(
     return results
 
 
+def _check_pool(
+    tasks: Sequence[tuple[str | CheckFunction, Hypergraph, int, float | None]],
+    jobs: int,
+    grace: float,
+    traces: Sequence[tuple | None],
+    race: bool = False,
+) -> tuple[list[CheckOutcome], int | None]:
+    """Run ``(method, hypergraph, k, timeout)`` tasks through :func:`_stream_pool`.
+
+    Returns ``(outcomes in task order, winner index or None)``.  Every
+    method resolves before the first worker starts, so an unknown name
+    raises here with nothing left running.  Each distinct hypergraph is
+    packed once and shared by every task that checks it; ``traces[i]``
+    parents task ``i``'s ``worker.exec`` span.  With ``race``, the first
+    definite answer to arrive wins and stops the pool: workers still
+    running are recorded as timeouts, ``cancelled`` at that moment.
+    """
+    payloads: dict[int, PackedHypergraph] = {}
+    for method, hypergraph, _, _ in tasks:
+        _methods.resolve(method)
+        if id(hypergraph) not in payloads:
+            payloads[id(hypergraph)] = PackedHypergraph.pack(hypergraph)
+    winner: int | None = None
+
+    def start(index: int):
+        method, hypergraph, k, timeout = tasks[index]
+        process, conn = _spawn(
+            _child_check, method, payloads[id(hypergraph)], k, timeout, traces[index]
+        )
+        return process, conn, _hard_budget(timeout, grace)
+
+    def receive(conn: Connection, elapsed: float, index: int) -> CheckOutcome:
+        nonlocal winner
+        outcome = _receive(conn, elapsed, tasks[index][1])
+        if race and winner is None and outcome.answered:
+            winner = index
+        return outcome
+
+    def expire(elapsed: float) -> CheckOutcome:
+        # Killed while the race was already won: cancelled, not out of budget.
+        return CheckOutcome(TIMEOUT, elapsed, cancelled=winner is not None)
+
+    outcomes = _stream_pool(
+        len(tasks), jobs, start, receive, expire, stop=lambda: winner is not None
+    )
+    return outcomes, winner  # type: ignore[return-value]
+
+
+# -------------------------------------------------------------- check shapes
+
+
+def run_checked(
+    method: str | CheckFunction,
+    hypergraph: Hypergraph,
+    k: int,
+    timeout: float | None = None,
+    grace: float = DEFAULT_GRACE,
+    trace: tuple | None = None,
+) -> CheckOutcome:
+    """Run one ``Check(H, k)`` in a worker process with a hard timeout.
+
+    The worker still polls the cooperative deadline (so well-behaved searches
+    stop themselves near ``timeout``); the parent kills it at
+    ``timeout + grace`` regardless.  The hypergraph ships as a
+    :class:`PackedHypergraph` and the decomposition returns as masks,
+    re-named here against the caller's instance.
+
+    ``trace`` (a :class:`~repro.obs.TraceContext`, defaulting to the ambient
+    one) parents the worker's ``worker.exec`` span; the worker's kernel
+    counter delta and span records come back with the outcome.
+    """
+    if trace is None:
+        trace = TRACER.current_context()
+    outcomes, _ = _check_pool([(method, hypergraph, k, timeout)], 1, grace, [trace])
+    return outcomes[0]
+
+
+def race_checks(
+    methods: Sequence[str],
+    hypergraph: Hypergraph,
+    k: int,
+    timeout: float | None = None,
+    grace: float = DEFAULT_GRACE,
+    trace: tuple | None = None,
+) -> tuple[str | None, dict[str, CheckOutcome]]:
+    """Race one worker per method; the first definite answer to arrive wins.
+
+    Returns ``(winner, per_method)``.  ``winner`` is ``None`` when nobody
+    answered; then every racer ran its full budget and none is marked
+    cancelled.  Losers still running when the winner reports are cancelled
+    (killed) and recorded as timeouts at their cancellation time; methods
+    that finished *before* the winner keep their genuine outcomes.  The
+    hypergraph is packed once and shared by every racer; every racer's
+    ``worker.exec`` span parents on ``trace`` (default: ambient context).
+    """
+    if trace is None:
+        trace = TRACER.current_context()
+    tasks = [(method, hypergraph, k, timeout) for method in methods]
+    outcomes, winner = _check_pool(tasks, len(tasks), grace, [trace] * len(tasks), race=True)
+    return (None if winner is None else methods[winner]), dict(zip(methods, outcomes))
+
+
 def map_checks(
     tasks: Sequence[tuple[str | CheckFunction, Hypergraph, int, float | None]],
     jobs: int,
     grace: float = DEFAULT_GRACE,
-    packed: bool = True,
     traces: Sequence[tuple | None] | None = None,
 ) -> list[CheckOutcome]:
     """Stream ``(method, hypergraph, k, timeout)`` tasks through ≤ jobs workers.
@@ -464,50 +409,13 @@ def map_checks(
     spec, so each worker span lands in the trace of the request that
     submitted it).
     """
-    payloads: dict[int, PackedHypergraph | Hypergraph] = {}
-    if packed:
-        for _, hypergraph, _, _ in tasks:
-            key = id(hypergraph)
-            if key not in payloads:
-                payloads[key] = PackedHypergraph.pack(hypergraph)
-
-    def start(index: int):
-        method, hypergraph, k, timeout = tasks[index]
-        payload = payloads.get(id(hypergraph), hypergraph)
-        trace = traces[index] if traces is not None else None
-        process, conn = _spawn(method, payload, k, timeout, trace)
-        return process, conn, _hard_budget(timeout, grace)
-
-    def receive(conn: Connection, elapsed: float, index: int) -> CheckOutcome:
-        return _receive(conn, elapsed, tasks[index][1])
-
-    return _stream_pool(  # type: ignore[return-value]
-        len(tasks),
-        max(1, int(jobs)),
-        start,
-        receive,
-        lambda elapsed: CheckOutcome(TIMEOUT, elapsed),
-    )
+    if traces is None:
+        traces = [None] * len(tasks)
+    outcomes, _ = _check_pool(tasks, max(1, int(jobs)), grace, traces)
+    return outcomes
 
 
 # ----------------------------------------------------- generic parallel calls
-
-
-def run_callables(
-    calls: Sequence[tuple[Callable, tuple]],
-    jobs: int,
-) -> list[object]:
-    """Run ``fn(*args)`` pairs in a process pool, results in call order.
-
-    For deterministic, side-effect-free bulk work without timeouts (the
-    benchmark generators); uses :class:`concurrent.futures.ProcessPoolExecutor`.
-    """
-    jobs = max(1, int(jobs))
-    if jobs == 1 or len(calls) <= 1:
-        return [fn(*args) for fn, args in calls]
-    with ProcessPoolExecutor(max_workers=min(jobs, len(calls)), mp_context=_CTX) as pool:
-        futures = [pool.submit(fn, *args) for fn, args in calls]
-        return [future.result() for future in futures]
 
 
 @dataclass(frozen=True)
@@ -520,6 +428,12 @@ class CallFailure:
     """
 
     reason: str
+
+    @property
+    def raised(self) -> bool:
+        """The call itself raised (a bug), rather than its worker dying or
+        overrunning."""
+        return self.reason not in ("timeout", "crash")
 
 
 def _child_call(conn: Connection, fn: Callable, args: tuple) -> None:
@@ -544,22 +458,17 @@ def map_callables(
 ) -> list[object]:
     """Stream ``fn(*args)`` pairs through ≤ jobs workers, isolating failures.
 
-    Unlike :func:`run_callables`, every call runs in its own killable worker
-    with an optional per-call hard ``timeout``; a call that raises, crashes
-    its worker (OOM kill, ``os._exit``), or overruns the budget yields a
-    :class:`CallFailure` in its slot instead of poisoning the whole batch —
-    mirroring the engine convention that a dead worker reads as a timeout.
+    Every call runs in its own killable worker with an optional per-call
+    hard ``timeout``; a call that raises, crashes its worker (OOM kill,
+    ``os._exit``), or overruns the budget yields a :class:`CallFailure` in
+    its slot instead of poisoning the whole batch — mirroring the engine
+    convention that a dead worker reads as a timeout.
     """
 
     def start(index: int):
         fn, args = calls[index]
-        parent_conn, child_conn = _CTX.Pipe(duplex=False)
-        process = _CTX.Process(
-            target=_child_call, args=(child_conn, fn, tuple(args)), daemon=True
-        )
-        process.start()
-        child_conn.close()
-        return process, parent_conn, _hard_budget(timeout, grace)
+        process, conn = _spawn(_child_call, fn, tuple(args))
+        return process, conn, _hard_budget(timeout, grace)
 
     def receive(conn: Connection, elapsed: float, index: int) -> object:
         try:

@@ -308,9 +308,8 @@ def _dispatch_chain(seed: int) -> Hypergraph:
 
     ``Check(HD, 2)`` decides it almost instantly, so the measured time is
     dominated by exactly what the dispatch bench is about: moving the
-    instance to a worker and the ~160-node decomposition back.  Searching
-    harder instances would dilute the wire-path difference into search
-    time that is identical on both paths.
+    instance to a worker and the ~160-node decomposition back.  Harder
+    instances would bury that cost under search time.
     """
     return Hypergraph(
         {
@@ -332,16 +331,14 @@ def run_dispatch_workload(
     jobs: int = DISPATCH_JOBS,
     repeat: int = 1,
 ) -> dict:
-    """Engine-dispatch overhead: packed wire views vs the legacy pickle path.
+    """Engine-dispatch overhead through the packed wire format.
 
     One ``run_batch`` of ``count`` single ``Check(H, k)`` jobs (no store, so
-    every job dispatches to a worker process) is timed twice — once with the
-    packed :class:`~repro.core.bitset.PackedHypergraph` wire format, once
-    with ``packed=False`` (the pre-refactor path that pickles named
-    hypergraphs out and full decompositions back).  Verdicts from both runs
-    are cross-checked against the frozen reference kernel
-    (:mod:`repro.decomp.reference`), in-process — any disagreement is a
-    correctness bug, not noise.
+    every job dispatches to a worker process over the
+    :class:`~repro.core.bitset.PackedHypergraph` wire format) is timed,
+    best of ``repeat``.  Its verdicts are cross-checked against the frozen
+    reference kernel (:mod:`repro.decomp.reference`), in-process — any
+    disagreement is a correctness bug, not noise.
     """
     from repro.decomp.reference import check_hd_reference
     from repro.engine import DecompositionEngine, JobSpec
@@ -355,33 +352,25 @@ def run_dispatch_workload(
         except (DeadlineExceeded, SubedgeLimitError):  # pragma: no cover
             oracle[h.name] = "timeout"
 
-    def timed_batch(packed: bool) -> tuple[float, dict[str, str]]:
-        best_seconds = None
-        verdicts: dict[str, str] = {}
-        for _ in range(repeat):
-            # Fresh instances per repetition: nothing (views, fingerprints)
-            # survives from the previous run or the oracle pass.
-            fresh = _dispatch_instances(count)
-            engine = DecompositionEngine(jobs=jobs, packed=packed)
-            specs = [
-                JobSpec.check(h, DISPATCH_K, method="hd", timeout=DISPATCH_TIMEOUT)
-                for h in fresh
-            ]
-            start = time.perf_counter()
-            report = engine.run_batch(specs)
-            seconds = time.perf_counter() - start
-            if best_seconds is None or seconds < best_seconds:
-                best_seconds = seconds
-                verdicts = {r.spec.name: r.verdict for r in report.results}
-        assert best_seconds is not None
-        return best_seconds, verdicts
-
-    packed_seconds, packed_verdicts = timed_batch(True)
-    named_seconds, named_verdicts = timed_batch(False)
+    best_seconds = None
+    verdicts: dict[str, str] = {}
+    for _ in range(repeat):
+        # Fresh instances per repetition: nothing (views, fingerprints)
+        # survives from the previous run or the oracle pass.
+        fresh = _dispatch_instances(count)
+        engine = DecompositionEngine(jobs=jobs)
+        specs = [
+            JobSpec.check(h, DISPATCH_K, method="hd", timeout=DISPATCH_TIMEOUT)
+            for h in fresh
+        ]
+        start = time.perf_counter()
+        report = engine.run_batch(specs)
+        seconds = time.perf_counter() - start
+        if best_seconds is None or seconds < best_seconds:
+            best_seconds = seconds
+            verdicts = {r.spec.name: r.verdict for r in report.results}
     mismatches = sum(
-        1
-        for name, verdict in oracle.items()
-        if packed_verdicts.get(name) != verdict or named_verdicts.get(name) != verdict
+        1 for name, verdict in oracle.items() if verdicts.get(name) != verdict
     )
     return {
         "instances": count,
@@ -389,9 +378,7 @@ def run_dispatch_workload(
         "k": DISPATCH_K,
         "method": "hd",
         "repeat": repeat,
-        "packed_seconds": packed_seconds,
-        "named_seconds": named_seconds,
-        "speedup": named_seconds / max(packed_seconds, 1e-9),
+        "seconds": best_seconds,
         "verdict_mismatches": mismatches,
     }
 
@@ -548,7 +535,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--baseline", default=None,
                         help="baseline BENCH_kernel.json for the regression gate")
     parser.add_argument("--no-dispatch", action="store_true",
-                        help="skip the packed-vs-pickle dispatch benchmark")
+                        help="skip the worker-dispatch benchmark")
     parser.add_argument("--no-obs", action="store_true",
                         help="skip the telemetry-overhead benchmark")
     args = parser.parse_args(argv)
@@ -581,10 +568,7 @@ def main(argv: list[str] | None = None) -> int:
     if dispatch is not None:
         print(
             f"\ndispatch ({dispatch['instances']} instances, "
-            f"{dispatch['jobs']} workers): packed "
-            f"{dispatch['packed_seconds']*1000:.0f} ms vs pickle "
-            f"{dispatch['named_seconds']*1000:.0f} ms "
-            f"({dispatch['speedup']:.2f}x)"
+            f"{dispatch['jobs']} workers): {dispatch['seconds']*1000:.0f} ms"
         )
 
     obs = report.get("obs")
@@ -603,7 +587,7 @@ def main(argv: list[str] | None = None) -> int:
         status = 1
     if dispatch is not None and dispatch["verdict_mismatches"]:
         print(
-            f"FAIL: {dispatch['verdict_mismatches']} packed-dispatch verdict "
+            f"FAIL: {dispatch['verdict_mismatches']} dispatch verdict "
             "mismatch(es) vs the reference kernel"
         )
         status = 1

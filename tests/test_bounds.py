@@ -30,6 +30,7 @@ from repro.engine import (
     ResultStore,
     fingerprint,
 )
+from repro.errors import ReproError
 from repro.utils.deadline import Deadline
 from tests.conftest import clique_hypergraph, cycle_hypergraph, random_hypergraph
 
@@ -470,6 +471,12 @@ def _spin_on_rand1(hypergraph, deadline=None):
     return compute_statistics(hypergraph, deadline)
 
 
+def _raise_on_rand3(hypergraph, deadline=None):
+    if hypergraph.name == "rand3":
+        raise ValueError("stats bug")
+    return compute_statistics(hypergraph, deadline)
+
+
 class TestParallelStatistics:
     def _repo(self):
         repo = HyperBenchRepository()
@@ -522,6 +529,12 @@ class TestParallelStatistics:
         # report the failure instead of crashing the caller
         failures = repo.compute_all_statistics(jobs=3, _stats_fn=_crash_on_rand2)
         assert failures == {"rand2": "timeout"}
+
+    def test_raising_stats_function_raises_like_the_sequential_path(self):
+        with pytest.raises(ValueError, match="stats bug"):
+            self._repo().compute_all_statistics(_stats_fn=_raise_on_rand3)
+        with pytest.raises(ReproError, match=r"rand3: ValueError\('stats bug'\)"):
+            self._repo().compute_all_statistics(jobs=3, _stats_fn=_raise_on_rand3)
 
     def test_skips_entries_that_already_have_statistics(self):
         repo = self._repo()

@@ -8,6 +8,8 @@ cross-checks of the engine-backed paths against the in-process drivers.
 from __future__ import annotations
 
 import json
+import multiprocessing
+import os
 
 import pytest
 
@@ -28,7 +30,10 @@ from repro.engine import (
     run_checked,
     structural_fingerprint,
 )
+from repro.benchmark import build
 from repro.benchmark.build import build_default_benchmark
+from repro.benchmark.classes import BenchmarkClass
+from repro.errors import ReproError
 from repro.io.json_io import decomposition_from_json, decomposition_to_json
 from tests.conftest import cycle_hypergraph, random_hypergraph
 
@@ -46,6 +51,14 @@ def _crash(hypergraph, k, deadline):
 
 register_method("spin", _spin_forever)
 register_method("crash", _crash)
+
+
+def _generator_bug(count, seed):
+    raise ValueError("generator bug")
+
+
+def _generator_crash(count, seed):
+    os._exit(29)
 
 
 # ----------------------------------------------------------------- fingerprint
@@ -243,6 +256,12 @@ class TestWorkers:
         outcomes = map_checks(tasks, jobs=3, grace=0.2)
         assert [o.verdict for o in outcomes] == [NO, YES, YES, TIMEOUT]
 
+    def test_race_that_cannot_start_leaves_no_worker_running(self, triangle):
+        before = set(multiprocessing.active_children())
+        with pytest.raises(ReproError, match="unknown check method"):
+            race_checks(["spin", "no-such-method"], triangle, 2, timeout=0.2, grace=0.2)
+        assert set(multiprocessing.active_children()) <= before
+
 
 # ---------------------------------------------------------------------- engine
 
@@ -393,6 +412,22 @@ class TestRewiredLayers:
             assert a.name == b.name
             assert a.hypergraph == b.hypergraph
             assert a.benchmark_class == b.benchmark_class
+
+    @pytest.mark.parametrize(
+        "generator, reason",
+        [
+            pytest.param(_generator_bug, r"ValueError\('generator bug'\)", id="raises"),
+            pytest.param(_generator_crash, "crash", id="crashes"),
+        ],
+    )
+    def test_parallel_build_raises_naming_a_failed_class(
+        self, monkeypatch, generator, reason
+    ):
+        monkeypatch.setitem(build._GENERATORS, BenchmarkClass.CSP_RANDOM, generator)
+        with pytest.raises(ReproError, match=f"generating CSP Random: {reason}"):
+            build_default_benchmark(
+                scale=0.03, seed=7, engine=DecompositionEngine(jobs=2)
+            )
 
     def test_ghw_analysis_skips_race_cancelled_outcomes(self, triangle):
         from repro.analysis.ghw_analysis import run_ghw_analysis

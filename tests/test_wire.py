@@ -189,14 +189,3 @@ class TestPackedDispatchMatchesReference:
             assert outcome.verdict == ("yes" if reference is not None else "no"), h.name
             if outcome.decomposition is not None:
                 outcome.decomposition.validate()
-
-    def test_packed_and_legacy_paths_agree(self):
-        h = random_hypergraph(7)
-        packed = run_checked("hd", h, 2, timeout=30.0)
-        legacy = run_checked("hd", h, 2, timeout=30.0, packed=False)
-        assert packed.verdict == legacy.verdict
-        if packed.verdict == "yes":
-            assert (
-                packed.decomposition.integral_width
-                == legacy.decomposition.integral_width
-            )
