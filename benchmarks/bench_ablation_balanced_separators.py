@@ -11,10 +11,10 @@ from repro.benchmark.classes import BenchmarkClass
 from repro.utils.tables import render_table
 
 
-def test_balanced_separator_census(benchmark, study):
+def test_balanced_separator_census(benchmark, repository):
     entries = [
         e
-        for e in study.repository.entries(BenchmarkClass.CSP_RANDOM)
+        for e in repository.entries(BenchmarkClass.CSP_RANDOM)
         if e.hypergraph.num_edges <= 25
     ][:6]
     assert entries

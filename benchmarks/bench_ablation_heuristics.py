@@ -14,15 +14,15 @@ from repro.decomp.detkdecomp import DetKDecomp
 from repro.utils.tables import render_table
 
 
-def _instances(study):
-    picked = [e for e in study.repository if 8 <= e.hypergraph.num_edges <= 30][:8]
+def _instances(repository):
+    picked = [e for e in repository if 8 <= e.hypergraph.num_edges <= 30][:8]
     assert picked
     return picked
 
 
 @pytest.mark.parametrize("heuristic", DetKDecomp.HEURISTICS)
-def test_heuristic_kernel(benchmark, study, heuristic):
-    entries = _instances(study)
+def test_heuristic_kernel(benchmark, repository, heuristic):
+    entries = _instances(repository)
 
     def sweep():
         return [

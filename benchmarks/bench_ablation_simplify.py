@@ -14,8 +14,8 @@ from repro.decomp.driver import exact_width
 from repro.utils.tables import render_table
 
 
-def test_simplification_ablation(benchmark, study):
-    entries = [e for e in study.repository if e.hypergraph.num_edges >= 4][:20]
+def test_simplification_ablation(benchmark, repository):
+    entries = [e for e in repository if e.hypergraph.num_edges >= 4][:20]
     assert entries
 
     benchmark(lambda: [simplify(e.hypergraph) for e in entries])

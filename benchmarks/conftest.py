@@ -1,14 +1,11 @@
-"""Shared fixtures for the benchmark harness.
+"""Shared fixture for the ablation benches.
 
-The paper's evaluation (Section 6) is one pipeline feeding many tables; we
-run it once per pytest session at a reduced scale (the paper used a
-10-machine cluster and 3600 s timeouts; see DESIGN.md for the substitution)
-and let every table/figure bench consume the shared result, so each bench
-file both *times* its core computation with pytest-benchmark and *prints*
-the regenerated artefact.
+The ablations time kernels on benchmark instances; they share one synthetic
+benchmark per pytest session, built at a reduced scale.  The paper's
+tables themselves come from ``repro experiment report``.
 
-Scale and timeout can be tuned via environment variables
-``HYPERBENCH_SCALE`` (default 0.2) and ``HYPERBENCH_TIMEOUT`` (default 1.0 s).
+Scale and seed can be tuned via environment variables
+``HYPERBENCH_SCALE`` (default 0.2) and ``HYPERBENCH_SEED`` (default 42).
 """
 
 from __future__ import annotations
@@ -17,19 +14,14 @@ import os
 
 import pytest
 
-from repro.analysis.experiments import StudyResult, run_full_study
+from repro.benchmark.build import build_default_benchmark
+from repro.benchmark.repository import HyperBenchRepository
 
 SCALE = float(os.environ.get("HYPERBENCH_SCALE", "0.2"))
-TIMEOUT = float(os.environ.get("HYPERBENCH_TIMEOUT", "1.0"))
 SEED = int(os.environ.get("HYPERBENCH_SEED", "42"))
 
 
 @pytest.fixture(scope="session")
-def study() -> StudyResult:
-    """The full Section 6 evaluation, computed once per session."""
-    return run_full_study(scale=SCALE, seed=SEED, timeout=TIMEOUT)
-
-
-@pytest.fixture(scope="session")
-def repository(study):
-    return study.repository
+def repository() -> HyperBenchRepository:
+    """The default synthetic benchmark, built once per session."""
+    return build_default_benchmark(scale=SCALE, seed=SEED)

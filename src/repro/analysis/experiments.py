@@ -2,10 +2,10 @@
 
 Every ``table*``/``figure*`` function returns an :class:`ExperimentResult`
 holding structured rows plus a rendered ASCII table in the paper's layout.
-:func:`run_full_study` chains the whole evaluation — benchmark build,
-property analysis, Figure 4 hw sweep, Tables 3/4 GHD comparison, Tables 5/6
-fractional study, Figure 5 correlations — and is what the benchmark harness
-and EXPERIMENTS.md generation call.
+:func:`assemble_study` builds all of them from finished analyses; the study
+itself runs as a ``repro experiment`` (:mod:`repro.experiment`), whose
+:class:`~repro.experiment.results.ExperimentResults` replays the analyses
+from the experiment's store and hands them here.
 """
 
 from __future__ import annotations
@@ -13,15 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.analysis.correlation import METRICS, correlation_matrix
-from repro.analysis.fractional_analysis import (
-    BUCKETS,
-    FractionalAnalysis,
-    run_fractional_analysis,
-)
-from repro.analysis.ghw_analysis import GhwAnalysis, run_ghw_analysis
-from repro.analysis.hw_analysis import HwAnalysis, run_hw_analysis
-from repro.benchmark.build import build_default_benchmark
-from repro.benchmark.classes import CLASS_NAMES, BenchmarkClass
+from repro.analysis.fractional_analysis import BUCKETS, FractionalAnalysis
+from repro.analysis.ghw_analysis import GhwAnalysis
+from repro.analysis.hw_analysis import HwAnalysis
+from repro.benchmark.classes import CLASS_NAMES
 from repro.benchmark.repository import HyperBenchRepository
 from repro.utils.tables import render_table
 
@@ -40,7 +35,6 @@ __all__ = [
     "table5_improve_hd",
     "table6_frac_improve",
     "edge_clique_cover_candidates",
-    "run_full_study",
 ]
 
 
@@ -429,12 +423,8 @@ def assemble_study(
     ghw: GhwAnalysis,
     fractional: FractionalAnalysis,
 ) -> StudyResult:
-    """Build every paper artefact from finished analyses.
-
-    Shared by :func:`run_full_study` (live analyses) and the experiment
-    pipeline's results view (store-replayed analyses), so both produce
-    identical tables from identical inputs.
-    """
+    """Build every paper artefact from finished analyses (the experiment
+    pipeline's results view passes its store-replayed ones)."""
     study = StudyResult(repository, hw, ghw, fractional)
     study.results["table1"] = table1_overview(repository)
     study.results["table2"] = table2_properties(repository)
@@ -446,33 +436,3 @@ def assemble_study(
     study.results["table5"] = table5_improve_hd(fractional)
     study.results["table6"] = table6_frac_improve(fractional)
     return study
-
-
-def run_full_study(
-    scale: float = 0.25,
-    seed: int = 42,
-    timeout: float = 1.0,
-    max_k: int = 6,
-    frac_timeout: float | None = None,
-    engine: "object | None" = None,
-) -> StudyResult:
-    """Run the entire Section 6 evaluation on a fresh synthetic benchmark.
-
-    An optional :class:`repro.engine.DecompositionEngine` threads through
-    the benchmark build (parallel generation), the Table 2 statistics
-    (crash-isolated worker fan-out), the Figure 4 hw sweep, the Tables 3/4
-    portfolio (parallel races, cached verdicts) and the Tables 5/6
-    fractional study (store-backed warm starts) — re-running the study with
-    a persistent result store replays every check from cache, and checks
-    whose verdicts are implied by stored bounds never run at all.
-    """
-    repository = build_default_benchmark(scale=scale, seed=seed, engine=engine)
-    repository.compute_all_statistics(jobs=getattr(engine, "jobs", 1))
-    hw = run_hw_analysis(repository, max_k=max_k, timeout=timeout, engine=engine)
-    ghw = run_ghw_analysis(repository, timeout=timeout, engine=engine)
-    fractional = run_fractional_analysis(
-        repository,
-        timeout=frac_timeout if frac_timeout is not None else timeout,
-        engine=engine,
-    )
-    return assemble_study(repository, hw, ghw, fractional)

@@ -17,10 +17,11 @@ and warm-startable: the Figure 4 HD is replayed from the result store when
 the repository lacks it (so the study runs against a warm store even in a
 fresh process), finished ``FracImproveHD`` verdicts are cached under the
 ``fracimprove`` method key (feeding the bounds index — the search is monotone
-in k) and replayed on later runs, the bisection of a cold entry is seeded
-with the ``ImproveHD`` width reached from the stored HD, and with
-``jobs > 1`` cold entries fan out through ``run_batch`` as killable workers
-with hard timeouts — the cluster semantics the paper's Table 6 reports.
+in k) and replayed on later runs, and the bisection of a cold entry is
+seeded with the ``ImproveHD`` width reached from the stored HD.  The
+experiment runner's frac phase runs the same searches as ``run_batch``
+waves of killable workers with hard timeouts — the cluster semantics the
+paper's Table 6 reports — and this study then replays them from the store.
 """
 
 from __future__ import annotations
@@ -110,10 +111,10 @@ def _record_frac(
     analysis: FractionalAnalysis,
     entry: BenchmarkEntry,
     k: int,
-    outcome: CheckOutcome | None,
+    outcome: CheckOutcome,
 ) -> None:
-    """Book one Table 6 outcome (live, store-replayed, or batch-executed)."""
-    if outcome is None or outcome.verdict == TIMEOUT:
+    """Book one Table 6 outcome (live or store-replayed)."""
+    if outcome.verdict == TIMEOUT:
         analysis.cell("frac", k).record("timeout")
         return
     if outcome.verdict == NO or outcome.decomposition is None:
@@ -131,23 +132,22 @@ def frac_improve_outcome(
     precision: float = DEFAULT_PRECISION,
     store=None,
     upper_seed: float | None = None,
-    lookup: bool = True,
 ) -> CheckOutcome:
     """Store-backed ``FracImproveHD`` for one instance.
 
-    Replays an exact-k row from ``store`` when present (``lookup=False``
-    skips the peek for callers that already missed), otherwise runs the
-    bisection in-process — warm-started by ``upper_seed`` — and persists the
-    outcome.  Only exact-k rows are replayed (``bounds=False``): a
-    bounds-implied "yes" from a smaller k carries a width that is achievable
-    at this k but possibly not the best reachable, so quality-sensitive
-    callers must not mistake it for this k's optimum.  The store key carries
+    Replays an exact-k row from ``store`` when present (the lookup books
+    the hit or miss), otherwise runs the bisection in-process —
+    warm-started by ``upper_seed`` — and persists the outcome.  Only exact-k
+    rows are replayed (``bounds=False``): a bounds-implied "yes" from a
+    smaller k carries a width that is achievable at this k but possibly not
+    the best reachable, so quality-sensitive callers must not mistake it
+    for this k's optimum.  The store key carries
     no precision dimension, so only default-precision runs consult or
     populate the store; any other ``precision`` computes live — a coarse
     cached width must never masquerade as a finer bisection's answer.
     """
     cacheable = store is not None and precision == DEFAULT_PRECISION
-    if cacheable and lookup:
+    if cacheable:
         stored = store.get(fingerprint(hypergraph), FRAC_METHOD, k, timeout, bounds=False)
         if stored is not None:
             return stored.outcome(hypergraph)
@@ -186,20 +186,16 @@ def run_fractional_analysis(
     Without an ``engine`` the historical in-process sweep runs unchanged.
     With one, every Table 6 verdict goes through the engine's result store
     (``fracimprove`` rows replay instantly on warm runs), missing HDs are
-    recovered from cached Figure 4 verdicts, cold bisections are seeded with
-    the Table 5 width, and a parallel engine fans the cold entries out
-    through ``run_batch`` (cached/implied entries are pruned before any
-    worker starts).  Store rows and batch workers are only valid at the
-    default bisection precision, so a non-default ``precision`` computes
-    every entry in-process and bypasses the cache — a coarse cached width
-    never masquerades as a finer answer.  In the parallel path a
-    bounds-implied replay may report a width achieved at a smaller k — a
-    valid upper bound, so buckets can understate (never overstate) the
-    improvement; the sequential paths replay exact-k rows only.
+    recovered from cached Figure 4 verdicts, and cold bisections are seeded
+    with the Table 5 width.  Only exact-k rows replay: Table 6 reports the
+    best width reachable *at this k*, which a smaller k's witness may
+    understate.  Store rows are only valid at the default bisection
+    precision (the key has no precision dimension), so a non-default
+    ``precision`` computes every entry in-process and bypasses the cache —
+    a coarse cached width never masquerades as a finer answer.
     """
     analysis = FractionalAnalysis()
     store = getattr(engine, "store", None)
-    deferred: list[tuple[BenchmarkEntry, int]] = []
     for entry in repository:
         k = entry.hw_high
         if k is None or k not in hw_values:
@@ -219,62 +215,13 @@ def run_fractional_analysis(
         entry.fhw_high = min(entry.fhw_high or float(k), fhd.width)
 
         # Table 6: FracImproveHD under a timeout.
-        if engine is None:
-            _record_frac(
-                analysis,
-                entry,
-                k,
-                frac_improve_outcome(entry.hypergraph, k, timeout, precision=precision),
-            )
-            continue
-        stored = None
-        checked = False
-        if store is not None and precision == DEFAULT_PRECISION:
-            # Exact-k rows only (bounds=False): Table 6 reports the best
-            # width reachable *at this k*, which a smaller k's witness may
-            # understate.  Rows are only valid at the default precision —
-            # the key has no precision dimension.  The peek does not record:
-            # deferred jobs are booked by run_batch, the other outcomes here.
-            checked = True
-            stored = store.get(
-                fingerprint(entry.hypergraph),
-                FRAC_METHOD,
-                k,
-                timeout,
-                record=False,
-                bounds=False,
-            )
-        if stored is not None:
-            store.record_hits(1)
-            _record_frac(analysis, entry, k, stored.outcome(entry.hypergraph))
-        elif getattr(engine, "parallel", False) and precision == DEFAULT_PRECISION:
-            deferred.append((entry, k))
-        else:
-            if checked:
-                store.record_misses(1)
-            _record_frac(
-                analysis,
-                entry,
-                k,
-                frac_improve_outcome(
-                    entry.hypergraph,
-                    k,
-                    timeout,
-                    precision=precision,
-                    store=store,
-                    upper_seed=fhd.width,
-                    lookup=False,
-                ),
-            )
-
-    if deferred:
-        from repro.engine.jobs import JobSpec
-
-        specs = [
-            JobSpec.check(entry.hypergraph, k, method=FRAC_METHOD, timeout=timeout)
-            for entry, k in deferred
-        ]
-        report = engine.run_batch(specs)
-        for (entry, k), result in zip(deferred, report.results):
-            _record_frac(analysis, entry, k, result.outcome)
+        outcome = frac_improve_outcome(
+            entry.hypergraph,
+            k,
+            timeout,
+            precision=precision,
+            store=store,
+            upper_seed=None if engine is None else fhd.width,
+        )
+        _record_frac(analysis, entry, k, outcome)
     return analysis

@@ -18,7 +18,6 @@ from repro.benchmark.generators import (
     generate_random_csps,
 )
 from repro.benchmark.repository import HyperBenchRepository
-from repro.errors import ReproError
 
 __all__ = ["build_default_benchmark", "DEFAULT_CLASS_COUNTS"]
 
@@ -45,52 +44,16 @@ def build_default_benchmark(
     scale: float = 1.0,
     seed: int = 42,
     name: str = "hyperbench",
-    sql_derived: int = 0,
-    engine: "object | None" = None,
 ) -> HyperBenchRepository:
     """Build the synthetic benchmark (deterministic in ``seed``).
 
     ``scale`` multiplies every class count (minimum 2 instances per class so
-    all experiment tables stay populated).  ``sql_derived`` additionally runs
-    that many CQ Application instances through the full Section 5 SQL
-    pipeline (generated SQL text → dependency graph → conjunctive core →
-    hypergraph), like the paper's own benchmark construction.
-
-    When a :class:`repro.engine.DecompositionEngine` with ``jobs > 1`` is
-    supplied, the five class generators run in parallel worker processes;
-    each generator is deterministic in ``seed`` and the classes are merged
-    in their fixed order, so the result is identical to the sequential
-    build.  A generator that raises or kills its worker raises
-    :class:`~repro.errors.ReproError` naming its class: the build never
-    returns a repository missing a class.
+    all experiment tables stay populated).  SQL-pipeline CQs are the corpus
+    manifest's ``sql`` family (:mod:`repro.experiment.corpus`).
     """
     repository = HyperBenchRepository(name=name)
-    classes = list(DEFAULT_CLASS_COUNTS.items())
-    jobs = getattr(engine, "jobs", 1) if engine is not None else 1
-    if jobs > 1:
-        from repro.engine.workers import CallFailure, map_callables
-
-        calls = [
-            (_GENERATORS[benchmark_class], (max(2, round(base_count * scale)), seed))
-            for benchmark_class, base_count in classes
-        ]
-        generated = map_callables(calls, jobs)
-        for (benchmark_class, _), hypergraphs in zip(classes, generated):
-            if isinstance(hypergraphs, CallFailure):
-                raise ReproError(f"generating {benchmark_class}: {hypergraphs.reason}")
-            for hypergraph in hypergraphs:
-                repository.add(hypergraph, benchmark_class)
-    else:
-        for benchmark_class, base_count in classes:
-            count = max(2, round(base_count * scale))
-            generator = _GENERATORS[benchmark_class]
-            for hypergraph in generator(count, seed=seed):
-                repository.add(hypergraph, benchmark_class)
-    if sql_derived:
-        from repro.benchmark.generators.sql_workload import (
-            generate_sql_application_cqs,
-        )
-
-        for hypergraph in generate_sql_application_cqs(sql_derived, seed=seed):
-            repository.add(hypergraph, BenchmarkClass.CQ_APPLICATION)
+    for benchmark_class, base_count in DEFAULT_CLASS_COUNTS.items():
+        count = max(2, round(base_count * scale))
+        for hypergraph in _GENERATORS[benchmark_class](count, seed=seed):
+            repository.add(hypergraph, benchmark_class)
     return repository

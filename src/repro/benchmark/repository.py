@@ -165,60 +165,15 @@ class HyperBenchRepository:
 
     # -------------------------------------------------------------- analysis
 
-    def compute_all_statistics(
-        self,
-        deadline: Deadline | None = None,
-        jobs: int = 1,
-        timeout: float | None = None,
-        _stats_fn: Callable = compute_statistics,
-    ) -> dict[str, str]:
+    def compute_all_statistics(self, deadline: Deadline | None = None) -> None:
         """Fill in the Table 2 metrics for every entry that lacks them.
 
-        ``jobs > 1`` fans the per-instance computations out through
-        :func:`repro.engine.workers.map_callables`: each entry gets its own
-        killable worker with an optional per-entry hard ``timeout``, and a
-        worker that crashes or overruns is recorded as a per-entry timeout —
-        the entry's statistics stay ``None`` — instead of poisoning the whole
-        repository.  A statistics function that *raises* is a bug, not a
-        timeout: that raises :class:`~repro.errors.ReproError` carrying the
-        call's failure text, as the sequential path raises the exception
-        itself.  A cooperative ``deadline`` cannot cross the process
-        boundary; when no ``timeout`` is given its remaining budget becomes
-        the per-entry hard cap, so no single entry outlives it.  Returns
-        ``{instance name: "timeout"}`` for the entries that failed (always
-        empty on the sequential path, which keeps its historical
-        cooperative-deadline behaviour).
-
-        ``_stats_fn`` is a testing seam (crash injection); it must accept
-        ``(hypergraph)`` positionally and, sequentially, ``(hypergraph,
-        deadline)``.
+        ``deadline`` is one cooperative budget for the whole pass.
         """
-        pending = [e for e in self._entries.values() if e.statistics is None]
-        if jobs <= 1 or not pending:
-            deadline = deadline or Deadline.unlimited()
-            for entry in pending:
-                entry.statistics = _stats_fn(entry.hypergraph, deadline)
-            return {}
-        # Imported lazily: the benchmark layer only depends on the engine
-        # when parallelism is requested (mirrors repro.benchmark.build).
-        from repro.engine.workers import CallFailure, map_callables
-
-        if timeout is None and deadline is not None:
-            timeout = deadline.remaining
-        results = map_callables(
-            [(_stats_fn, (entry.hypergraph,)) for entry in pending],
-            jobs,
-            timeout=timeout,
-        )
-        failures: dict[str, str] = {}
-        for entry, result in zip(pending, results):
-            if isinstance(result, CallFailure):
-                if result.raised:
-                    raise ReproError(f"statistics of {entry.name}: {result.reason}")
-                failures[entry.name] = "timeout"
-            else:
-                entry.statistics = result
-        return failures
+        deadline = deadline or Deadline.unlimited()
+        for entry in self._entries.values():
+            if entry.statistics is None:
+                entry.statistics = compute_statistics(entry.hypergraph, deadline)
 
     # ---------------------------------------------------------------- export
 

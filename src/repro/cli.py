@@ -50,16 +50,14 @@ the paper's inequalities (fhw ≤ ghw ≤ hw ≤ 3·ghw + 1) — an hw "yes" cap
 the ghw interval, a ghw "no" lifts the hw one.  ``--kind hw|ghw|fhw``
 restricts both tables to one width kind.
 
-The ``width``, ``decompose``, ``fractional`` and ``benchmark`` commands
-accept ``--jobs N`` (run checks in N killable worker processes with hard
-timeouts; for ``benchmark`` this also parallelises class generation and the
-statistics pass) and ``--cache PATH`` (a SQLite result store:
-``width``/``decompose``/``fractional`` cache and replay every verdict from
-it — including verdicts merely *implied* by the store's bounds index;
-``benchmark`` only initialises the store for later runs, since generation
-records no verdicts).  Both route the command through
+The ``width``, ``decompose`` and ``fractional`` commands accept ``--jobs
+N`` (run checks in N killable worker processes with hard timeouts) and
+``--cache PATH`` (a SQLite result store: every verdict is cached and
+replayed from it — including verdicts merely *implied* by the store's
+bounds index).  Both route the command through
 :class:`repro.engine.DecompositionEngine`; without these flags everything
-runs sequentially in-process, as before.
+runs sequentially in-process, as before.  ``benchmark`` builds the corpus
+and its statistics sequentially; the full study runs as ``experiment``.
 
 All commands read the detkdecomp text format (``name(v1,v2),... .``).
 """
@@ -177,14 +175,6 @@ def build_parser() -> argparse.ArgumentParser:
     benchmark.add_argument("out_dir", type=Path)
     benchmark.add_argument("--scale", type=float, default=0.2)
     benchmark.add_argument("--seed", type=int, default=42)
-    _add_engine_flags(
-        benchmark,
-        jobs_help="generate the benchmark classes in N parallel processes",
-        cache_help=(
-            "initialise/attach a result store for later width/decompose runs "
-            "(generation itself records no verdicts)"
-        ),
-    )
 
     cache = sub.add_parser("cache", help="inspect or clear a result store")
     cache.add_argument("action", choices=("stats", "bounds", "clear"))
@@ -609,13 +599,8 @@ def _cmd_fractional(args) -> int:
 
 
 def _cmd_benchmark(args) -> int:
-    engine = _make_engine(args)
-    try:
-        repo = build_default_benchmark(scale=args.scale, seed=args.seed, engine=engine)
-    finally:
-        if engine is not None:
-            engine.close()
-    repo.compute_all_statistics(jobs=args.jobs)
+    repo = build_default_benchmark(scale=args.scale, seed=args.seed)
+    repo.compute_all_statistics()
     args.out_dir.mkdir(parents=True, exist_ok=True)
     (args.out_dir / "hyperbench.csv").write_text(repo.to_csv(), encoding="utf-8")
     (args.out_dir / "hyperbench.json").write_text(repo.to_json(indent=2), encoding="utf-8")

@@ -42,13 +42,7 @@ from repro.engine.store import (
     StoredResult,
     WidthRelation,
 )
-from repro.engine.workers import (
-    CallFailure,
-    map_callables,
-    map_checks,
-    race_checks,
-    run_checked,
-)
+from repro.engine.workers import map_checks, race_checks, run_checked
 
 __all__ = [
     "DecompositionEngine",
@@ -78,6 +72,4 @@ __all__ = [
     "run_checked",
     "race_checks",
     "map_checks",
-    "map_callables",
-    "CallFailure",
 ]

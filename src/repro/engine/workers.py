@@ -7,7 +7,7 @@ Running each attempt in its own worker process lets the parent *kill* the
 worker when the wall-clock budget is gone — the paper's cluster runs enforce
 their 3600 s timeouts the same way.
 
-Four execution shapes are provided:
+Three execution shapes are provided:
 
 * :func:`run_checked` — one attempt in one worker, killed at
   ``timeout + grace``;
@@ -15,13 +15,9 @@ Four execution shapes are provided:
   the first definite answer to arrive wins, losers still running are
   cancelled;
 * :func:`map_checks` — a task list streamed through at most ``jobs``
-  concurrent workers, each with its own hard budget;
-* :func:`map_callables` — generic ``fn(*args)`` calls streamed the same
-  way; a call that raises, crashes its worker (OOM kill, ``os._exit``) or
-  overruns yields a :class:`CallFailure` in its slot instead of poisoning
-  the batch (parallel statistics and the parallel benchmark build use it).
+  concurrent workers, each with its own hard budget.
 
-All four run through one loop, :func:`_stream_pool` — the only code here
+All three run through one loop, :func:`_check_pool` — the only code here
 that starts workers, waits on their pipes, kills overdue ones and reaps
 them.  Per-attempt processes (rather than a long-lived executor pool) are
 deliberate: an executor cannot kill a single hung task without tearing
@@ -49,8 +45,7 @@ import multiprocessing
 import os
 import signal
 import time
-from collections.abc import Callable, Sequence
-from dataclasses import dataclass
+from collections.abc import Sequence
 from multiprocessing.connection import Connection, wait as _wait_connections
 
 from repro.core.bitset import PackedHypergraph, pack_decomposition, unpack_decomposition
@@ -62,11 +57,9 @@ from repro.perf import counters, publish_delta
 
 __all__ = [
     "DEFAULT_GRACE",
-    "CallFailure",
     "run_checked",
     "race_checks",
     "map_checks",
-    "map_callables",
 ]
 
 #: Extra seconds past the cooperative budget before the worker is killed.
@@ -166,16 +159,22 @@ def _reap(process: multiprocessing.Process) -> None:
     process.join()
 
 
-def _hard_budget(timeout: float | None, grace: float) -> float | None:
-    return None if timeout is None else timeout + grace
-
-
-def _spawn(target: Callable, *args: object) -> tuple[multiprocessing.Process, Connection]:
-    """Start ``target(conn, *args)`` in a fresh worker; returns the process
+def _spawn(
+    method: str | CheckFunction,
+    payload: PackedHypergraph,
+    k: int,
+    timeout: float | None,
+    trace: tuple | None,
+) -> tuple[multiprocessing.Process, Connection]:
+    """Start one :func:`_child_check` in a fresh worker; returns the process
     and the read end of the pipe it answers on."""
     parent_conn, child_conn = _CTX.Pipe(duplex=False)
     try:
-        process = _CTX.Process(target=target, args=(child_conn, *args), daemon=True)
+        process = _CTX.Process(
+            target=_child_check,
+            args=(child_conn, method, payload, k, timeout, trace),
+            daemon=True,
+        )
         process.start()
     except BaseException:
         parent_conn.close()
@@ -227,41 +226,47 @@ def _receive(conn: Connection, fallback_seconds: float, hypergraph: Hypergraph) 
 # ---------------------------------------------------------------- the loop
 
 
-def _stream_pool(
-    count: int,
+def _check_pool(
+    tasks: Sequence[tuple[str | CheckFunction, Hypergraph, int, float | None]],
     jobs: int,
-    start: Callable[[int], tuple[multiprocessing.Process, Connection, float | None]],
-    receive: Callable[[Connection, float, int], object],
-    expire: Callable[[float], object],
-    stop: Callable[[], bool] = lambda: False,
-) -> list[object]:
-    """Stream ``count`` tasks through ≤ ``jobs`` workers, results in order.
+    grace: float,
+    traces: Sequence[tuple | None],
+    race: bool = False,
+) -> tuple[list[CheckOutcome], int | None]:
+    """Stream ``(method, hypergraph, k, timeout)`` tasks through ≤ ``jobs`` workers.
 
-    ``start(index)`` spawns task ``index`` and returns ``(process, conn,
-    hard budget in seconds or None)``; ``receive(conn, elapsed, index)``
-    reads a finished worker's result; ``expire(elapsed)`` is the result
-    recorded for a worker killed at its hard budget.  ``stop()`` is asked
-    after each round of arrivals: once it holds, no further task starts
-    and every worker still running is killed, its slot getting
-    ``expire(elapsed)`` too (tasks never started stay ``None``).
+    Returns ``(outcomes in task order, winner index or None)``.  Every
+    method resolves before the first worker starts, so an unknown name
+    raises here with nothing left running.  Each distinct hypergraph is
+    packed once and shared by every task that checks it; ``traces[i]``
+    parents task ``i``'s ``worker.exec`` span.  A worker still running at
+    ``timeout + grace`` is killed and its task recorded as a timeout.  With
+    ``race``, the first definite answer to arrive wins and stops the pool:
+    workers still running are recorded as timeouts, ``cancelled`` at that
+    moment.
 
-    Workers start inside the ``try``, so a ``start`` or ``receive`` that
-    raises still reaps every worker already running.
+    Workers start inside the ``try``, so a spawn that fails or a forwarded
+    exception still reaps every worker already running.
     """
-    results: list[object] = [None] * count
+    payloads: dict[int, PackedHypergraph] = {}
+    for method, hypergraph, _, _ in tasks:
+        _methods.resolve(method)
+        if id(hypergraph) not in payloads:
+            payloads[id(hypergraph)] = PackedHypergraph.pack(hypergraph)
+    outcomes: list[CheckOutcome] = [None] * len(tasks)  # type: ignore[list-item]
     active: dict[Connection, tuple[int, multiprocessing.Process, float, float | None]] = {}
+    winner: int | None = None
     next_task = 0
     try:
-        while next_task < count or active:
-            while next_task < count and len(active) < jobs:
-                process, conn, budget = start(next_task)
-                started = time.perf_counter()
-                active[conn] = (
-                    next_task,
-                    process,
-                    started,
-                    None if budget is None else started + budget,
+        while next_task < len(tasks) or active:
+            while next_task < len(tasks) and len(active) < jobs:
+                method, hypergraph, k, timeout = tasks[next_task]
+                process, conn = _spawn(
+                    method, payloads[id(hypergraph)], k, timeout, traces[next_task]
                 )
+                started = time.perf_counter()
+                deadline = None if timeout is None else started + timeout + grace
+                active[conn] = (next_task, process, started, deadline)
                 next_task += 1
             now = time.perf_counter()
             deadlines = [d for (_, _, _, d) in active.values() if d is not None]
@@ -270,72 +275,30 @@ def _stream_pool(
             now = time.perf_counter()
             for conn in ready:
                 index, process, started, _ = active[conn]  # type: ignore[index]
-                results[index] = receive(conn, now - started, index)  # type: ignore[arg-type]
+                outcome = _receive(conn, now - started, tasks[index][1])  # type: ignore[arg-type]
+                outcomes[index] = outcome
+                if race and winner is None and outcome.answered:
+                    winner = index
                 del active[conn]  # type: ignore[arg-type]
                 conn.close()  # type: ignore[attr-defined]
                 _reap(process)
-            stopping = stop()
             for conn, (index, process, started, deadline) in list(active.items()):
-                if stopping or (deadline is not None and now >= deadline):
+                if winner is not None or (deadline is not None and now >= deadline):
                     del active[conn]
-                    results[index] = expire(now - started)
+                    # Killed while the race was already won: cancelled, not
+                    # out of budget.
+                    outcomes[index] = CheckOutcome(
+                        TIMEOUT, now - started, cancelled=winner is not None
+                    )
                     conn.close()
                     _reap(process)
-            if stopping:
+            if winner is not None:
                 break
     finally:
         for conn, (_, process, _, _) in active.items():
             conn.close()
             _reap(process)
-    return results
-
-
-def _check_pool(
-    tasks: Sequence[tuple[str | CheckFunction, Hypergraph, int, float | None]],
-    jobs: int,
-    grace: float,
-    traces: Sequence[tuple | None],
-    race: bool = False,
-) -> tuple[list[CheckOutcome], int | None]:
-    """Run ``(method, hypergraph, k, timeout)`` tasks through :func:`_stream_pool`.
-
-    Returns ``(outcomes in task order, winner index or None)``.  Every
-    method resolves before the first worker starts, so an unknown name
-    raises here with nothing left running.  Each distinct hypergraph is
-    packed once and shared by every task that checks it; ``traces[i]``
-    parents task ``i``'s ``worker.exec`` span.  With ``race``, the first
-    definite answer to arrive wins and stops the pool: workers still
-    running are recorded as timeouts, ``cancelled`` at that moment.
-    """
-    payloads: dict[int, PackedHypergraph] = {}
-    for method, hypergraph, _, _ in tasks:
-        _methods.resolve(method)
-        if id(hypergraph) not in payloads:
-            payloads[id(hypergraph)] = PackedHypergraph.pack(hypergraph)
-    winner: int | None = None
-
-    def start(index: int):
-        method, hypergraph, k, timeout = tasks[index]
-        process, conn = _spawn(
-            _child_check, method, payloads[id(hypergraph)], k, timeout, traces[index]
-        )
-        return process, conn, _hard_budget(timeout, grace)
-
-    def receive(conn: Connection, elapsed: float, index: int) -> CheckOutcome:
-        nonlocal winner
-        outcome = _receive(conn, elapsed, tasks[index][1])
-        if race and winner is None and outcome.answered:
-            winner = index
-        return outcome
-
-    def expire(elapsed: float) -> CheckOutcome:
-        # Killed while the race was already won: cancelled, not out of budget.
-        return CheckOutcome(TIMEOUT, elapsed, cancelled=winner is not None)
-
-    outcomes = _stream_pool(
-        len(tasks), jobs, start, receive, expire, stop=lambda: winner is not None
-    )
-    return outcomes, winner  # type: ignore[return-value]
+    return outcomes, winner
 
 
 # -------------------------------------------------------------- check shapes
@@ -413,74 +376,3 @@ def map_checks(
         traces = [None] * len(tasks)
     outcomes, _ = _check_pool(tasks, max(1, int(jobs)), grace, traces)
     return outcomes
-
-
-# ----------------------------------------------------- generic parallel calls
-
-
-@dataclass(frozen=True)
-class CallFailure:
-    """One failed slot in a :func:`map_callables` batch (returned, not raised).
-
-    ``reason`` is ``"timeout"`` (hard budget exhausted), ``"crash"`` (the
-    worker died without reporting), or the ``repr`` of the exception the
-    call raised.
-    """
-
-    reason: str
-
-    @property
-    def raised(self) -> bool:
-        """The call itself raised (a bug), rather than its worker dying or
-        overrunning."""
-        return self.reason not in ("timeout", "crash")
-
-
-def _child_call(conn: Connection, fn: Callable, args: tuple) -> None:
-    """Worker entry point for :func:`map_callables`: report value or error."""
-    _detach_signals()
-    try:
-        try:
-            result = fn(*args)
-        except Exception as exc:  # noqa: BLE001 - reported, not raised
-            conn.send(("error", repr(exc)))
-        else:
-            conn.send(("ok", result))
-    finally:
-        conn.close()
-
-
-def map_callables(
-    calls: Sequence[tuple[Callable, tuple]],
-    jobs: int,
-    timeout: float | None = None,
-    grace: float = DEFAULT_GRACE,
-) -> list[object]:
-    """Stream ``fn(*args)`` pairs through ≤ jobs workers, isolating failures.
-
-    Every call runs in its own killable worker with an optional per-call
-    hard ``timeout``; a call that raises, crashes its worker (OOM kill,
-    ``os._exit``), or overruns the budget yields a :class:`CallFailure` in
-    its slot instead of poisoning the whole batch — mirroring the engine
-    convention that a dead worker reads as a timeout.
-    """
-
-    def start(index: int):
-        fn, args = calls[index]
-        process, conn = _spawn(_child_call, fn, tuple(args))
-        return process, conn, _hard_budget(timeout, grace)
-
-    def receive(conn: Connection, elapsed: float, index: int) -> object:
-        try:
-            kind, payload = conn.recv()
-        except (EOFError, OSError):
-            return CallFailure("crash")
-        return payload if kind == "ok" else CallFailure(payload)
-
-    return _stream_pool(
-        len(calls),
-        max(1, int(jobs)),
-        start,
-        receive,
-        lambda elapsed: CallFailure("timeout"),
-    )

@@ -14,9 +14,9 @@ runner detects manifest/generator drift on resume.
 
 :func:`default_manifest` mirrors :func:`repro.benchmark.build.
 build_default_benchmark` exactly (same per-class counts, same seeds, same
-order), so the default corpus is the default benchmark — the equivalence
-tests against :func:`repro.analysis.experiments.run_full_study` rest on
-this.
+order), so the default corpus is the default benchmark: ``repro experiment
+run`` at the default manifest runs the study over the corpus ``repro
+benchmark`` exports.
 
 >>> manifest = default_manifest(scale=0.05, seed=7)
 >>> [s.family for s in manifest.sections]
@@ -367,8 +367,8 @@ def default_manifest(
     """A manifest whose corpus equals ``build_default_benchmark(scale, seed)``.
 
     Counts, seeds, generator order and the minimum-two-per-class floor all
-    mirror the default build, so the pipeline's tables at this manifest match
-    :func:`~repro.analysis.experiments.run_full_study` at the same arguments.
+    mirror the default build, so the experiment's tables at this manifest
+    describe the same instances ``build_default_benchmark`` returns.
     """
     sections = [
         CorpusSection(_DEFAULT_FAMILIES[cls], max(2, round(base * scale)))

@@ -6,16 +6,14 @@ is a cached property, computed on first access from the experiment's
 journals and result store — nothing is computed for a report that does not
 ask for it.
 
-Equivalence with :func:`repro.analysis.experiments.run_full_study` holds by
-construction, not by reimplementation: the view rebuilds the corpus from
-the manifest, restores the journalled statistics, and then runs the
-*original* analysis protocols (`run_hw_analysis`, `run_ghw_analysis`,
+The view replays rather than reimplements: it rebuilds the corpus from the
+manifest, restores the journalled statistics, and then runs the analysis
+protocols (`run_hw_analysis`, `run_ghw_analysis`,
 `run_fractional_analysis`) against a replay engine whose every answer comes
 from the experiment's store.  In complete mode a store miss raises
 :class:`~repro.experiment.runner.ExperimentError` instead of silently
 computing fresh; ``partial=True`` relaxes that for in-flight experiments
-(missing checks then run in-process, which is exactly what the sequential
-study would do).
+(missing checks then run in-process, sequentially).
 
 Deterministic mode (the manifest's default) wraps the store in a proxy
 that zeroes all replayed runtimes, making rendered reports byte-identical
@@ -178,8 +176,7 @@ class ExperimentResults:
                 entry.statistics = HypergraphStatistics(**payload)
             elif entry.name not in stats:
                 # never journalled (partial experiments) — compute live,
-                # it's deterministic; a journalled null stays None (the
-                # instance timed out in a parallel statistics pass)
+                # it's deterministic
                 entry.statistics = compute_statistics(entry.hypergraph)
         return repository
 
@@ -217,7 +214,7 @@ class ExperimentResults:
 
     @cached_property
     def study(self) -> StudyResult:
-        """All paper artefacts, assembled exactly like ``run_full_study``."""
+        """All paper artefacts (:func:`~repro.analysis.experiments.assemble_study`)."""
         self.hw, self.ghw  # protocol order: ghw reads hw bounds
         return assemble_study(self.repository, self.hw, self.ghw, self.fractional)
 

@@ -181,10 +181,13 @@ class ExperimentRunner:
     # ------------------------------------------------------------- plumbing
 
     def _run_batch(self, specs: list[JobSpec], journal: Journal, summary: RunSummary):
+        """Run one wave on the dispatcher (or the engine); returns its report."""
         if not specs:
-            return
+            return None
         runner = self.dispatcher if self.dispatcher is not None else self.engine
-        summary.book(runner.run_batch(specs, journal=journal))
+        report = runner.run_batch(specs, journal=journal)
+        summary.book(report)
+        return report
 
     # ----------------------------------------------------------------- run
 
@@ -296,9 +299,7 @@ class ExperimentRunner:
                 JobSpec.check(e.hypergraph, k, method="hd", timeout=timeout)
                 for e in pending
             ]
-            runner = self.dispatcher if self.dispatcher is not None else self.engine
-            report = runner.run_batch(specs, journal=journal)
-            summary.book(report)
+            report = self._run_batch(specs, journal, summary)
             still = []
             for entry, result in zip(pending, report.results):
                 if result.verdict == "yes":

@@ -198,10 +198,6 @@ class BatchScheduler:
     max_wave:
         Maximum jobs per ``run_batch`` wave; excess jobs roll into the next
         wave without waiting another window.
-    coalesce:
-        ``False`` disables duplicate coalescing (every request becomes its
-        own flight) — kept for the ``benchmarks/bench_service.py`` baseline,
-        not for production use.
     dispatcher:
         A :class:`~repro.engine.remote.Dispatcher` to route waves through a
         persistent job queue instead of the in-process pool (``repro serve
@@ -226,7 +222,6 @@ Rejected` instead of queueing.  ``None`` admits everything (the
         engine: DecompositionEngine,
         window: float = 0.02,
         max_wave: int = 32,
-        coalesce: bool = True,
         dispatcher=None,
         admission: AdmissionController | None = None,
         breaker: CircuitBreaker | None = None,
@@ -234,7 +229,6 @@ Rejected` instead of queueing.  ``None`` admits everything (the
         self.engine = engine
         self.window = max(0.0, float(window))
         self.max_wave = max(1, int(max_wave))
-        self.coalesce = coalesce
         self.dispatcher = dispatcher
         self.admission = admission
         self.breaker = breaker
@@ -350,7 +344,7 @@ Rejected` instead of queueing.  ``None`` admits everything (the
         self.stats.by_kind[spec.kind] = self.stats.by_kind.get(spec.kind, 0) + 1
         _M_REQUESTS.inc(kind=spec.kind)
         key = spec.key()
-        flight = self._flights.get(key) if self.coalesce else None
+        flight = self._flights.get(key)
         coalesced = flight is not None
         if flight is None:
             with TRACER.span(
@@ -410,8 +404,7 @@ Rejected` instead of queueing.  ``None`` admits everything (the
                 "scheduler.wait", parent=spec.trace, kind=spec.kind
             )
             self._register(flight)
-            if self.coalesce:
-                self._flights[key] = flight
+            self._flights[key] = flight
             self._pending.append(flight)
             self._ensure_running()
             self._wake.set()

@@ -3,13 +3,12 @@
 Covers the monotonicity invariant (property-style over seeded random
 hypergraphs), implied answers, eviction/timeout-reuse consistency, the
 binary-searched ``exact_width``, batch pruning cross-checks against
-unpruned journals, the engine-backed fractional study, parallel repository
-statistics, and the new CLI surfaces (``fractional``, ``cache bounds``).
+unpruned journals, the engine-backed fractional study, and the new CLI
+surfaces (``fractional``, ``cache bounds``).
 """
 
 from __future__ import annotations
 
-import os
 import random
 
 import pytest
@@ -19,7 +18,6 @@ from repro.analysis.hw_analysis import run_hw_analysis
 from repro.benchmark.classes import BenchmarkClass
 from repro.benchmark.repository import HyperBenchRepository
 from repro.cli import main
-from repro.core.properties import compute_statistics
 from repro.decomp.detkdecomp import check_hd
 from repro.decomp.driver import NO, TIMEOUT, YES, CheckOutcome, exact_width, timed_check
 from repro.engine import (
@@ -30,8 +28,6 @@ from repro.engine import (
     ResultStore,
     fingerprint,
 )
-from repro.errors import ReproError
-from repro.utils.deadline import Deadline
 from tests.conftest import clique_hypergraph, cycle_hypergraph, random_hypergraph
 
 MAX_K = 5
@@ -405,9 +401,9 @@ class TestEngineFractionalStudy:
         assert store.methods() == {"fracimprove": 2}
 
     def test_parallel_study_books_each_lookup_exactly_once(self):
-        """The pre-check peek must not double-count misses that run_batch
-        books again when executing the deferred jobs."""
-        engine = DecompositionEngine(store=ResultStore(), jobs=2)
+        """Each entry's fracimprove lookup books exactly one miss (cold) or
+        one hit (warm), never both."""
+        engine = DecompositionEngine(store=ResultStore())
         repo = self._repo_with_hw()
         run_fractional_analysis(repo, hw_values=(2, 3), timeout=30.0, engine=engine)
         processed = sum(
@@ -453,95 +449,6 @@ class TestEngineFractionalStudy:
         assert entry.extra.get("hd") is not None
         assert analysis.cell("improve", 2).counts["[0.5,1)"] == 1  # 2 -> 1.5
         assert entry.fhw_high == pytest.approx(1.5, abs=0.2)
-
-
-# ------------------------------------------------------ parallel repo statistics
-
-
-def _crash_on_rand2(hypergraph, deadline=None):
-    if hypergraph.name == "rand2":
-        os._exit(23)
-    return compute_statistics(hypergraph, deadline)
-
-
-def _spin_on_rand1(hypergraph, deadline=None):
-    if hypergraph.name == "rand1":
-        while True:
-            pass
-    return compute_statistics(hypergraph, deadline)
-
-
-def _raise_on_rand3(hypergraph, deadline=None):
-    if hypergraph.name == "rand3":
-        raise ValueError("stats bug")
-    return compute_statistics(hypergraph, deadline)
-
-
-class TestParallelStatistics:
-    def _repo(self):
-        repo = HyperBenchRepository()
-        for seed in range(5):
-            repo.add(random_hypergraph(seed), BenchmarkClass.CQ_APPLICATION)
-        return repo
-
-    def test_parallel_matches_sequential(self):
-        sequential = self._repo()
-        parallel = self._repo()
-        assert sequential.compute_all_statistics() == {}
-        assert parallel.compute_all_statistics(jobs=3) == {}
-        for a, b in zip(sequential, parallel):
-            assert a.statistics == b.statistics, a.name
-
-    def test_worker_crash_is_a_per_entry_timeout(self):
-        repo = self._repo()
-        failures = repo.compute_all_statistics(jobs=3, _stats_fn=_crash_on_rand2)
-        assert failures == {"rand2": "timeout"}
-        assert repo.get("rand2").statistics is None
-        for entry in repo:
-            if entry.name != "rand2":
-                assert entry.statistics is not None, entry.name
-
-    def test_hung_worker_is_a_per_entry_timeout(self):
-        repo = self._repo()
-        failures = repo.compute_all_statistics(
-            jobs=3, timeout=0.5, _stats_fn=_spin_on_rand1
-        )
-        assert failures == {"rand1": "timeout"}
-        for entry in repo:
-            if entry.name != "rand1":
-                assert entry.statistics is not None, entry.name
-
-    def test_parallel_path_derives_timeout_from_deadline(self):
-        """Without an explicit timeout, the cooperative deadline's remaining
-        budget becomes the per-entry hard cap — a hung worker cannot
-        outlive it."""
-        repo = self._repo()
-        failures = repo.compute_all_statistics(
-            deadline=Deadline(0.5), jobs=3, _stats_fn=_spin_on_rand1
-        )
-        assert failures == {"rand1": "timeout"}
-
-    def test_single_pending_entry_still_gets_crash_isolation(self):
-        repo = self._repo()
-        failures = repo.compute_all_statistics(jobs=3, _stats_fn=_crash_on_rand2)
-        assert failures == {"rand2": "timeout"}
-        # only rand2 is pending now — a retry must still run in a worker and
-        # report the failure instead of crashing the caller
-        failures = repo.compute_all_statistics(jobs=3, _stats_fn=_crash_on_rand2)
-        assert failures == {"rand2": "timeout"}
-
-    def test_raising_stats_function_raises_like_the_sequential_path(self):
-        with pytest.raises(ValueError, match="stats bug"):
-            self._repo().compute_all_statistics(_stats_fn=_raise_on_rand3)
-        with pytest.raises(ReproError, match=r"rand3: ValueError\('stats bug'\)"):
-            self._repo().compute_all_statistics(jobs=3, _stats_fn=_raise_on_rand3)
-
-    def test_skips_entries_that_already_have_statistics(self):
-        repo = self._repo()
-        repo.compute_all_statistics()
-        marker = repo.get("rand0").statistics
-        assert repo.compute_all_statistics(jobs=3) == {}
-        assert repo.get("rand0").statistics is marker
 
 
 # ------------------------------------------------------------------ CLI surfaces

@@ -1,28 +1,26 @@
-"""Tests for benchmark build options (SQL-derived instances)."""
+"""Tests for SQL-pipeline CQs in a corpus (the manifest's ``sql`` family)."""
 
-from repro.benchmark import BenchmarkClass, build_default_benchmark
+from repro.benchmark import BenchmarkClass
+from repro.experiment import CorpusSection, Manifest, build_corpus
 
 
-class TestSqlDerived:
-    def test_sql_derived_added_to_cq_application(self):
-        base = build_default_benchmark(scale=0.05)
-        extended = build_default_benchmark(scale=0.05, sql_derived=5)
-        assert len(extended) == len(base) + 5
-        assert (
-            extended.count(BenchmarkClass.CQ_APPLICATION)
-            == base.count(BenchmarkClass.CQ_APPLICATION) + 5
-        )
+def _sql_corpus(count: int):
+    return build_corpus(Manifest(sections=[CorpusSection("sql", count)]))
 
-    def test_sql_derived_deterministic(self):
-        a = build_default_benchmark(scale=0.05, sql_derived=4)
-        b = build_default_benchmark(scale=0.05, sql_derived=4)
-        assert [e.name for e in a] == [e.name for e in b]
 
-    def test_sql_derived_instances_analysable(self):
+class TestSqlFamily:
+    def test_sql_instances_are_cq_application(self):
+        corpus = _sql_corpus(5)
+        assert len(corpus) == 5
+        assert corpus.count(BenchmarkClass.CQ_APPLICATION) == 5
+
+    def test_sql_instance_names_deterministic(self):
+        assert [e.name for e in _sql_corpus(4)] == [e.name for e in _sql_corpus(4)]
+
+    def test_sql_instances_analysable(self):
         from repro.decomp.detkdecomp import check_hd
 
-        repo = build_default_benchmark(scale=0.05, sql_derived=3)
-        sql_entries = [e for e in repo if e.name.startswith("cq_sql_")]
-        assert len(sql_entries) == 3
-        for entry in sql_entries:
+        corpus = _sql_corpus(3)
+        assert [e.name.startswith("cq_sql_") for e in corpus] == [True] * 3
+        for entry in corpus:
             assert check_hd(entry.hypergraph, 3) is not None

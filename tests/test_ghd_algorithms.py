@@ -56,6 +56,11 @@ class TestEachAlgorithm:
         with pytest.raises(DeadlineExceeded):
             check(k5, 2, Deadline(0.0))
 
+    def test_k5_refuted_at_2(self, check, k5):
+        """K5 has ghw 3, so Check(GHD, 2) exhausts the search space and
+        answers a definite no (the regime Table 3 probes)."""
+        assert check(k5, 2) is None
+
     def test_wide_edges(self, check):
         h = Hypergraph(
             {

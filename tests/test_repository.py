@@ -58,6 +58,12 @@ class TestRepository:
         repo.compute_all_statistics()
         assert all(e.statistics is not None for e in repo)
 
+    def test_skips_entries_that_already_have_statistics(self, repo):
+        repo.compute_all_statistics()
+        marker = repo.get("triangle").statistics
+        repo.compute_all_statistics()
+        assert repo.get("triangle").statistics is marker
+
     def test_width_bound_helpers(self, repo):
         entry = repo.get("triangle")
         entry.hw_low = entry.hw_high = 2

@@ -151,20 +151,6 @@ class TestScheduler:
         assert "no-such-method" in payload["error"]
         assert service_stats.errors == 1
 
-    def test_coalescing_disabled_dispatches_every_request(self):
-        """The benchmark's naive baseline: no store, no coalescing."""
-
-        async def main():
-            engine = DecompositionEngine(store=None)
-            scheduler = BatchScheduler(engine, window=0.05, coalesce=False)
-            await asyncio.gather(*(scheduler.check(_triangle(), 2) for _ in range(4)))
-            await scheduler.close(close_engine=True)
-            return engine.stats, scheduler.stats
-
-        engine_stats, service_stats = asyncio.run(main())
-        assert engine_stats.executed == 4
-        assert service_stats.coalesced == 0
-
 
 # ------------------------------------------------------------ HTTP transport
 
