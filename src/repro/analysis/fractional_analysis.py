@@ -12,13 +12,13 @@ Improvements ``c = k − fractional_width`` are bucketed exactly like the
 paper's columns: ``c ≥ 1``, ``c ∈ [0.5, 1)``, ``c ∈ [0.1, 0.5)``, "no"
 (c < 0.1) and timeouts.
 
-With a :class:`repro.engine.DecompositionEngine` the study is store-backed
-and warm-startable: the Figure 4 HD is replayed from the result store when
-the repository lacks it (so the study runs against a warm store even in a
-fresh process), finished ``FracImproveHD`` verdicts are cached under the
-``fracimprove`` method key (feeding the bounds index — the search is monotone
-in k) and replayed on later runs, and the bisection of a cold entry is
-seeded with the ``ImproveHD`` width reached from the stored HD.  The
+The bisection of a cold entry is seeded with the ``ImproveHD`` width
+reached from the stored HD.  With a :class:`repro.engine.DecompositionEngine`
+the study is also store-backed: the Figure 4 HD is replayed from the result
+store when the repository lacks it (so the study runs against a warm store
+even in a fresh process), and finished ``FracImproveHD`` verdicts are cached
+under the ``fracimprove`` method key (feeding the bounds index — the search
+is monotone in k) and replayed on later runs.  The
 experiment runner's frac phase runs the same searches as ``run_batch``
 waves of killable workers with hard timeouts — the cluster semantics the
 paper's Table 6 reports — and this study then replays them from the store.
@@ -183,11 +183,11 @@ def run_fractional_analysis(
 ) -> FractionalAnalysis:
     """Run both improvement algorithms over all instances with a stored HD.
 
-    Without an ``engine`` the historical in-process sweep runs unchanged.
-    With one, every Table 6 verdict goes through the engine's result store
-    (``fracimprove`` rows replay instantly on warm runs), missing HDs are
-    recovered from cached Figure 4 verdicts, and cold bisections are seeded
-    with the Table 5 width.  Only exact-k rows replay: Table 6 reports the
+    Every cold bisection is seeded with the entry's Table 5 width.  Without
+    an ``engine`` each search runs in-process.  With one, every Table 6
+    verdict goes through the engine's result store (``fracimprove`` rows
+    replay instantly on warm runs) and missing HDs are recovered from
+    cached Figure 4 verdicts.  Only exact-k rows replay: Table 6 reports the
     best width reachable *at this k*, which a smaller k's witness may
     understate.  Store rows are only valid at the default bisection
     precision (the key has no precision dimension), so a non-default
@@ -221,7 +221,7 @@ def run_fractional_analysis(
             timeout,
             precision=precision,
             store=store,
-            upper_seed=None if engine is None else fhd.width,
+            upper_seed=fhd.width,
         )
         _record_frac(analysis, entry, k, outcome)
     return analysis

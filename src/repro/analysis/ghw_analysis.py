@@ -7,6 +7,11 @@ reports, per algorithm and per k, how many attempts terminated and their
 average runtime, split into yes- and no-answers.  Table 4 reports the
 portfolio verdict ("run all three in parallel, first answer wins").
 
+Each k runs as one batch wave of portfolio jobs through a ``run_batch(specs)
+-> BatchReport`` executor (see :mod:`repro.analysis.hw_analysis`); a job's
+result carries the winning verdict (Table 4) and each algorithm's outcome
+(Table 3).
+
 Side effects on the repository: a definite "no" for ``Check(GHD, k−1)``
 establishes ``ghw = hw = k`` *and* closes hw gaps (``hw ≥ k`` follows since
 ``hw ≥ ghw``) — the paper's gap-filling observation; a "yes" establishes
@@ -15,17 +20,13 @@ establishes ``ghw = hw = k`` *and* closes hw gaps (``hw ≥ k`` follows since
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from repro.benchmark.repository import BenchmarkEntry, HyperBenchRepository
-from repro.decomp.driver import (
-    NO,
-    TIMEOUT,
-    YES,
-    CheckOutcome,
-    _portfolio_algorithms,
-    ghd_portfolio,
-)
+from repro.decomp.driver import NO, YES, CheckOutcome
+from repro.engine.engine import BatchReport, DecompositionEngine
+from repro.engine.jobs import JobResult, JobSpec
 
 __all__ = ["AlgorithmCell", "GhwAnalysis", "run_ghw_analysis"]
 
@@ -40,7 +41,7 @@ class AlgorithmCell:
     yes_seconds: float = 0.0
     no_seconds: float = 0.0
 
-    def record(self, outcome: CheckOutcome) -> None:
+    def record(self, outcome: CheckOutcome | JobResult) -> None:
         if outcome.verdict == YES:
             self.yes += 1
             self.yes_seconds += outcome.seconds
@@ -87,47 +88,41 @@ def run_ghw_analysis(
     repository: HyperBenchRepository,
     ks: tuple[int, ...] = (3, 4, 5, 6),
     timeout: float | None = 2.0,
-    algorithms: dict | None = None,
-    engine: "object | None" = None,
+    run_batch: Callable[[list[JobSpec]], BatchReport] | None = None,
 ) -> GhwAnalysis:
     """Run the Table 3 / Table 4 protocol (requires hw bounds from Figure 4).
 
-    With an :class:`repro.engine.DecompositionEngine`, each portfolio races
-    the three algorithms in parallel worker processes and cached verdicts
-    are replayed from the result store (custom ``algorithms`` force the
-    sequential path — the engine only races its registered methods).  A race
-    whose verdict is already implied by the store's bounds index is skipped
-    entirely; such replays contribute to Table 4 but, carrying no
-    per-algorithm timings for this k, add nothing to Table 3.
+    ``run_batch`` executes each k's wave of races; the default is a fresh
+    in-process engine with no store, which runs every algorithm in turn
+    with the full budget.  With ``jobs > 1`` an engine races the algorithms
+    in parallel worker processes and cancels the losers.  A race whose
+    verdict a store's bounds index already implies is skipped entirely;
+    such replays contribute to Table 4 but, carrying no per-algorithm
+    timings for this k, add nothing to Table 3.
     """
-    custom = algorithms is not None
-    # Resolved at call time from the method registry, so a method registered
-    # as portfolio-eligible after import participates in the Table 3 cells.
-    algorithms = algorithms or _portfolio_algorithms()
+    run_batch = run_batch or DecompositionEngine().run_batch
     analysis = GhwAnalysis(list(ks), timeout)
     for k in ks:
         candidates: list[BenchmarkEntry] = [
             entry for entry in repository if entry.hw_high == k and k >= 2
         ]
         analysis.totals[k] = len(candidates)
-        for entry in candidates:
-            portfolio, per_algorithm = ghd_portfolio(
-                entry.hypergraph,
-                k - 1,
-                timeout,
-                algorithms if custom else None,
-                engine=engine,
-            )
-            for name, outcome in per_algorithm.items():
+        if not candidates:
+            continue
+        report = run_batch(
+            [JobSpec.portfolio(e.hypergraph, k - 1, timeout=timeout) for e in candidates]
+        )
+        for entry, result in zip(candidates, report.results):
+            for name, outcome in (result.per_algorithm or {}).items():
                 # Race-cancelled attempts say nothing about the algorithm
                 # itself (the paper's Table 3 gives every algorithm the full
                 # budget in standalone runs), so they are not recorded.
                 if not outcome.cancelled:
                     analysis.algorithm_cell(name, k).record(outcome)
-            analysis.portfolio_cell(k).record(portfolio)
-            if portfolio.verdict == YES:
+            analysis.portfolio_cell(k).record(result)
+            if result.verdict == YES:
                 entry.ghw_high = k - 1
-            elif portfolio.verdict == NO:
+            elif result.verdict == NO:
                 # ghw > k-1 and ghw <= hw <= k, hence ghw = k; and since
                 # hw >= ghw = k, the hw gap closes too (hw = k).
                 entry.ghw_low = k

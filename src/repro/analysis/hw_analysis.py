@@ -6,6 +6,14 @@ on up to ``max_k``.  For every class and k we record how many instances
 answered yes / no / timed out and the average runtime of the yes- and
 no-answers — exactly the bars and labels of Figure 4.
 
+Each k runs as one batch wave of ``Check(HD, k)`` jobs over the instances
+still pending, through any ``run_batch(specs) -> BatchReport`` executor: a
+:class:`~repro.engine.DecompositionEngine`'s or a
+:class:`~repro.engine.remote.Dispatcher`'s, the experiment runner's
+journalled one, or the results view's store replay.  Which instances each
+wave holds follows from the previous waves' verdicts alone, so a journalled
+run that resumes re-derives the same waves.
+
 As a side effect the repository's hw bounds are updated: a yes at k gives
 ``hw <= k`` (exact when all smaller k produced definite no-answers), a no at
 k gives ``hw > k``.  The found HDs are stashed in ``entry.extra["hd"]`` for
@@ -14,12 +22,14 @@ the fractional-improvement study (Tables 5/6).
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from repro.benchmark.classes import BenchmarkClass
 from repro.benchmark.repository import BenchmarkEntry, HyperBenchRepository
-from repro.decomp.detkdecomp import check_hd
-from repro.decomp.driver import NO, TIMEOUT, YES, timed_check
+from repro.decomp.driver import NO, YES
+from repro.engine.engine import BatchReport, DecompositionEngine
+from repro.engine.jobs import JobSpec
 
 __all__ = ["HwCell", "HwAnalysis", "run_hw_analysis"]
 
@@ -67,32 +77,34 @@ def run_hw_analysis(
     repository: HyperBenchRepository,
     max_k: int = 6,
     timeout: float | None = 2.0,
-    engine: "object | None" = None,
+    run_batch: Callable[[list[JobSpec]], BatchReport] | None = None,
 ) -> HwAnalysis:
     """Run the Figure 4 protocol over a repository (updates its hw bounds).
 
-    An optional :class:`repro.engine.DecompositionEngine` routes every
-    ``Check(HD, k)`` through its result store and worker pool, so repeated
-    sweeps over the same instances are served from cache — including answers
-    *implied* by the store's bounds index (a stored yes at k' ≤ k, or no at
-    k' ≥ k, settles k without running anything) — and uncooperative searches
-    are killed at the hard timeout.
+    ``run_batch`` executes each k's wave; the default is a fresh in-process
+    engine with no store.  An engine with a store answers repeated sweeps
+    from cache — including answers *implied* by its bounds index (a stored
+    yes at k' ≤ k, or no at k' ≥ k, settles k without running anything) —
+    and one with ``jobs > 1`` kills uncooperative searches at the hard
+    timeout.
     """
+    run_batch = run_batch or DecompositionEngine().run_batch
     analysis = HwAnalysis(max_k, timeout)
     pending: list[BenchmarkEntry] = list(repository)
     clean_no: dict[str, bool] = {entry.name: True for entry in pending}
 
     for k in range(1, max_k + 1):
+        if not pending:
+            break
+        report = run_batch(
+            [JobSpec.check(e.hypergraph, k, method="hd", timeout=timeout) for e in pending]
+        )
         still_pending: list[BenchmarkEntry] = []
-        for entry in pending:
-            if engine is not None:
-                outcome = engine.check(entry.hypergraph, k, method="hd", timeout=timeout)
-            else:
-                outcome = timed_check(check_hd, entry.hypergraph, k, timeout)
+        for entry, result in zip(pending, report.results):
             cell = analysis.cell(entry.benchmark_class, k)
-            if outcome.verdict == YES:
+            if result.verdict == YES:
                 cell.yes += 1
-                cell.yes_seconds += outcome.seconds
+                cell.yes_seconds += result.seconds
                 entry.hw_high = k
                 if clean_no[entry.name]:
                     entry.hw_low = k
@@ -101,13 +113,14 @@ def run_hw_analysis(
                 entry.ghw_high = k  # ghw <= hw
                 if entry.ghw_low is None:
                     entry.ghw_low = 1
-                if outcome.decomposition is not None:
-                    # A bounds-implied yes whose witness row lost its
-                    # decomposition (eviction) must not erase a stored HD.
-                    entry.extra["hd"] = outcome.decomposition
-            elif outcome.verdict == NO:
+                # A journal-resumed result carries no live outcome, and a
+                # bounds-implied yes whose witness row lost its decomposition
+                # (eviction) has none: neither may erase a stored HD.
+                if result.outcome is not None and result.outcome.decomposition is not None:
+                    entry.extra["hd"] = result.outcome.decomposition
+            elif result.verdict == NO:
                 cell.no += 1
-                cell.no_seconds += outcome.seconds
+                cell.no_seconds += result.seconds
                 if clean_no[entry.name]:
                     entry.hw_low = k + 1
                 still_pending.append(entry)
@@ -116,8 +129,6 @@ def run_hw_analysis(
                 clean_no[entry.name] = False
                 still_pending.append(entry)
         pending = still_pending
-        if not pending:
-            break
     analysis.unresolved = [entry.name for entry in pending]
     for entry in pending:
         if entry.hw_low is None:

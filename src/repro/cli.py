@@ -50,14 +50,14 @@ the paper's inequalities (fhw ≤ ghw ≤ hw ≤ 3·ghw + 1) — an hw "yes" cap
 the ghw interval, a ghw "no" lifts the hw one.  ``--kind hw|ghw|fhw``
 restricts both tables to one width kind.
 
-The ``width``, ``decompose`` and ``fractional`` commands accept ``--jobs
-N`` (run checks in N killable worker processes with hard timeouts) and
-``--cache PATH`` (a SQLite result store: every verdict is cached and
-replayed from it — including verdicts merely *implied* by the store's
-bounds index).  Both route the command through
-:class:`repro.engine.DecompositionEngine`; without these flags everything
-runs sequentially in-process, as before.  ``benchmark`` builds the corpus
-and its statistics sequentially; the full study runs as ``experiment``.
+The ``width``, ``decompose`` and ``fractional`` commands run every check
+through a :class:`repro.engine.DecompositionEngine`.  Without flags it runs
+each check in-process with no store; ``--jobs N`` runs checks in N killable
+worker processes with hard timeouts, and ``--cache PATH`` adds a SQLite
+result store (every verdict is cached and replayed from it — including
+verdicts merely *implied* by the store's bounds index).  ``benchmark``
+builds the corpus and its statistics sequentially; the full study runs as
+``experiment``.
 
 All commands read the detkdecomp text format (``name(v1,v2),... .``).
 """
@@ -72,9 +72,6 @@ from pathlib import Path
 from repro.benchmark.build import build_default_benchmark
 from repro.benchmark.report import write_html_report
 from repro.core.properties import compute_statistics
-from repro.decomp.balsep import check_ghd_balsep
-from repro.decomp.detkdecomp import check_hd
-from repro.decomp.driver import exact_width, timed_check
 from repro.decomp.fractional import DEFAULT_PRECISION, best_fractional_improvement
 from repro.engine import CHECK_METHODS, DecompositionEngine, open_result_store
 from repro.engine import methods as _methods
@@ -106,12 +103,11 @@ def _add_engine_flags(
     )
 
 
-def _make_engine(args) -> DecompositionEngine | None:
-    """An engine when ``--jobs``/``--cache`` ask for one, else ``None``."""
-    if args.jobs <= 1 and args.cache is None:
-        return None
+def _make_engine(args) -> DecompositionEngine:
+    """The engine ``--jobs``/``--cache``/``--shards`` ask for (by default
+    in-process, with no store)."""
     store = (
-        open_result_store(args.cache, shards=getattr(args, "shards", None))
+        open_result_store(args.cache, shards=args.shards)
         if args.cache is not None
         else None
     )
@@ -438,12 +434,8 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_width(args) -> int:
     h = read_hypergraph(args.file)
-    engine = _make_engine(args)
-    try:
-        if engine is not None:
-            result = engine.exact_width(h, args.max_k, timeout=args.timeout)
-        else:
-            result = exact_width(check_hd, h, args.max_k, timeout=args.timeout)
+    with _make_engine(args) as engine:
+        result = engine.exact_width(h, args.max_k, timeout=args.timeout)
         if result.exact:
             print(f"hw({h.name}) = {result.value}")
         elif result.upper is not None:
@@ -451,33 +443,20 @@ def _cmd_width(args) -> int:
         else:
             print(f"hw({h.name}) > {result.lower - 1} (no upper bound within k <= {args.max_k})")
         if args.ghw and result.upper is not None and result.upper >= 2:
-            if engine is not None:
-                outcome = engine.check(h, result.upper - 1, method="balsep", timeout=args.timeout)
-            else:
-                outcome = timed_check(check_ghd_balsep, h, result.upper - 1, args.timeout)
+            outcome = engine.check(h, result.upper - 1, method="balsep", timeout=args.timeout)
             if outcome.verdict == "yes":
                 print(f"ghw({h.name}) <= {result.upper - 1}")
             elif outcome.verdict == "no":
                 print(f"ghw({h.name}) = hw({h.name}) = {result.upper}")
             else:
                 print(f"ghw({h.name}) <= {result.upper} (Check(GHD,{result.upper - 1}) timed out)")
-    finally:
-        if engine is not None:
-            engine.close()
     return 0
 
 
 def _cmd_decompose(args) -> int:
     h = read_hypergraph(args.file)
-    engine = _make_engine(args)
-    try:
-        if engine is not None:
-            outcome = engine.check(h, args.k, method=args.algorithm, timeout=args.timeout)
-        else:
-            outcome = timed_check(ALGORITHMS[args.algorithm], h, args.k, args.timeout)
-    finally:
-        if engine is not None:
-            engine.close()
+    with _make_engine(args) as engine:
+        outcome = engine.check(h, args.k, method=args.algorithm, timeout=args.timeout)
     if outcome.verdict == "timeout":
         print(f"timeout after {outcome.seconds:.1f}s", file=sys.stderr)
         return 2
@@ -529,16 +508,10 @@ def _print_tree(node, indent: int = 0) -> None:
 def _cmd_fractional(args) -> int:
     from repro.analysis.fractional_analysis import frac_improve_outcome
     from repro.decomp.fractional import improve_hd
-    from repro.errors import DeadlineExceeded
-    from repro.utils.deadline import Deadline
 
     h = read_hypergraph(args.file)
-    engine = _make_engine(args)
-    try:
-        if engine is not None:
-            hd_outcome = engine.check(h, args.k, method="hd", timeout=args.timeout)
-        else:
-            hd_outcome = timed_check(check_hd, h, args.k, args.timeout)
+    with _make_engine(args) as engine:
+        hd_outcome = engine.check(h, args.k, method="hd", timeout=args.timeout)
         if hd_outcome.verdict == "timeout":
             print(
                 f"Check(HD, {args.k}) timed out after {hd_outcome.seconds:.1f}s",
@@ -554,47 +527,31 @@ def _cmd_fractional(args) -> int:
             fhd = improve_hd(hd_outcome.decomposition)
             seed = fhd.width
             print(f"ImproveHD width      {fhd.width:.3f}")
-        if engine is not None:
-            if engine.parallel:
-                # killable worker with a hard timeout; verdicts replay from
-                # the store (a bounds-implied replay reports a width achieved
-                # at a smaller k — an upper bound on this k's optimum)
-                frac = engine.check(h, args.k, method="fracimprove", timeout=args.timeout)
-            else:
-                # cache-backed in-process run, warm-started with the
-                # ImproveHD width of the HD found above
-                frac = frac_improve_outcome(
-                    h,
-                    args.k,
-                    timeout=args.timeout,
-                    precision=args.precision,
-                    store=engine.store,
-                    upper_seed=seed,
-                )
-            if frac.verdict == "timeout":
-                print(f"FracImproveHD        timeout after {frac.seconds:.1f}s")
-                return 0
-            best = frac.decomposition
+        if engine.parallel:
+            # killable worker with a hard timeout; verdicts replay from
+            # the store (a bounds-implied replay reports a width achieved
+            # at a smaller k — an upper bound on this k's optimum)
+            frac = engine.check(h, args.k, method="fracimprove", timeout=args.timeout)
         else:
-            try:
-                best = best_fractional_improvement(
-                    h,
-                    args.k,
-                    precision=args.precision,
-                    deadline=Deadline(args.timeout),
-                    upper_seed=seed,
-                )
-            except DeadlineExceeded:
-                print("FracImproveHD        timeout")
-                return 0
+            # in-process run (cache-backed with --cache), warm-started
+            # with the ImproveHD width of the HD found above
+            frac = frac_improve_outcome(
+                h,
+                args.k,
+                timeout=args.timeout,
+                precision=args.precision,
+                store=engine.store,
+                upper_seed=seed,
+            )
+        if frac.verdict == "timeout":
+            print(f"FracImproveHD        timeout after {frac.seconds:.1f}s")
+            return 0
+        best = frac.decomposition
         if best is not None:
             print(
                 f"FracImproveHD width  {best.width:.3f} "
                 f"(improvement {args.k - best.width:.3f})"
             )
-    finally:
-        if engine is not None:
-            engine.close()
     return 0
 
 

@@ -4,7 +4,9 @@ The paper's evaluation protocol (Sections 6.2 and 6.4) runs
 ``Check(decomposition, k)`` attempts under a wall-clock timeout, records
 yes / no / timeout verdicts, determines exact widths by iterating k, and — for
 Table 4 — runs all three GHD algorithms "in parallel", stopping at the first
-answer.  This module provides those building blocks for the analysis layer.
+answer.  This module provides those building blocks in-process;
+:class:`repro.engine.DecompositionEngine` runs them (cached, or in killable
+workers) for the analysis layer's protocols.
 """
 
 from __future__ import annotations
@@ -180,27 +182,20 @@ def ghd_portfolio(
     hypergraph: Hypergraph,
     k: int,
     timeout: float | None = None,
-    algorithms: dict[str, CheckFunction] | None = None,
-    engine: "object | None" = None,
 ) -> tuple[CheckOutcome, dict[str, CheckOutcome]]:
-    """The paper's parallel portfolio (Table 4 protocol).
+    """The paper's portfolio (Table 4 protocol), simulated sequentially.
 
-    Without an ``engine`` every algorithm runs sequentially with the full
-    timeout and the portfolio verdict is the fastest definite answer (which
-    is what "run in parallel and stop at the first answer" observes).  With a
-    :class:`repro.engine.DecompositionEngine`, the three standard algorithms
-    genuinely race in parallel worker processes (losers are cancelled) and
-    the verdict is served from the engine's result store when cached; custom
-    ``algorithms`` always take the sequential path, since the engine races
-    its registered methods only.  Returns ``(portfolio_outcome,
+    Every registered portfolio algorithm runs in turn with the full timeout,
+    and the portfolio verdict is the fastest definite answer (which is what
+    "run in parallel and stop at the first answer" observes).  This is the
+    race a :class:`repro.engine.DecompositionEngine` runs for a portfolio
+    job when ``jobs == 1``; with ``jobs > 1`` it races the same algorithms
+    in parallel worker processes instead.  Returns ``(portfolio_outcome,
     per_algorithm)``.
     """
-    if engine is not None and algorithms is None:
-        return engine.portfolio(hypergraph, k, timeout)
-    algorithms = algorithms or _portfolio_algorithms()
     per_algorithm = {
         name: timed_check(fn, hypergraph, k, timeout)
-        for name, fn in algorithms.items()
+        for name, fn in _portfolio_algorithms().items()
     }
     answered = [o for o in per_algorithm.values() if o.answered]
     if answered:

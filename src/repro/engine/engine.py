@@ -4,17 +4,19 @@ The engine is the single entry point that turns decomposition requests into
 work: it consults the :class:`~repro.engine.store.ResultStore` first (by
 content fingerprint, so renamed copies of an instance share results), and
 only on a miss dispatches the attempt — in-process with cooperative deadlines
-when ``jobs == 1`` (the deterministic default, byte-compatible with the
-pre-engine code paths), or in killable worker processes with hard timeouts
-when ``jobs > 1``.
+when ``jobs == 1`` (the deterministic default; with no store it runs each
+check exactly as :func:`~repro.decomp.driver.timed_check` does), or in
+killable worker processes with hard timeouts when ``jobs > 1``.
 
-``portfolio`` races GlobalBIP / LocalBIP / BalSep in parallel worker
-processes (the paper's Table 4 setup: "run in parallel, stop at the first
-answer"), cancelling the losers; ``run_batch`` executes a list of
-:class:`~repro.engine.jobs.JobSpec` with a resumable journal, fanning
-cache-missed check jobs across the worker pool.  That batch wave is the
-only one: a :class:`~repro.engine.remote.Dispatcher` runs it with the job
-queue executing the cold jobs.
+``run_batch`` executes a list of :class:`~repro.engine.jobs.JobSpec` with a
+resumable journal, fanning cache-missed check jobs across the worker pool.
+A portfolio job races GlobalBIP / LocalBIP / BalSep — with ``jobs > 1`` in
+parallel worker processes (the paper's Table 4 setup: "run in parallel,
+stop at the first answer"), cancelling the losers — and its result carries
+each algorithm's outcome for Table 3.  That batch wave is the only one: a
+:class:`~repro.engine.remote.Dispatcher` runs it with the job queue
+executing the cold jobs, and the paper's protocols (:mod:`repro.analysis`)
+run as waves of it.
 """
 
 from __future__ import annotations
@@ -148,7 +150,12 @@ class _CacheMiss(Exception):
     """Internal: a cache-only replay hit a key the store does not have."""
 
 
-def _executed(spec: JobSpec, outcome: CheckOutcome, winner: str | None = None) -> JobResult:
+def _executed(
+    spec: JobSpec,
+    outcome: CheckOutcome,
+    winner: str | None = None,
+    per_algorithm: dict[str, CheckOutcome] | None = None,
+) -> JobResult:
     """The result of a check or portfolio job the engine just executed."""
     return JobResult(
         spec,
@@ -156,6 +163,7 @@ def _executed(spec: JobSpec, outcome: CheckOutcome, winner: str | None = None) -
         outcome.seconds,
         outcome=outcome,
         winner=winner,
+        per_algorithm=per_algorithm,
         counters=outcome.counters,
         spans=outcome.spans,
     )
@@ -165,9 +173,9 @@ def _locked(fn):
     """Serialise a dispatch entry point on the engine's reentrant lock.
 
     The service layer submits batches from executor threads while other
-    threads call ``check``/``portfolio`` directly; the RLock makes those
-    submissions safe *and* reentrant (``run_batch`` jobs re-enter
-    ``portfolio``/``exact_width``/``check`` on the same thread).
+    threads call ``check`` directly; the RLock makes those submissions safe
+    *and* reentrant (``run_batch`` width jobs re-enter ``exact_width`` and
+    ``check`` on the same thread).
     """
 
     @functools.wraps(fn)
@@ -407,45 +415,6 @@ class DecompositionEngine:
 
     # ------------------------------------------------------------- portfolio
 
-    @_locked
-    def portfolio(
-        self,
-        hypergraph: Hypergraph,
-        k: int,
-        timeout: float | None = None,
-        trace: tuple | None = None,
-    ) -> tuple[CheckOutcome, dict[str, CheckOutcome]]:
-        """The Table 4 race: GlobalBIP ∥ LocalBIP ∥ BalSep, first answer wins.
-
-        With ``jobs > 1`` the three algorithms genuinely run in parallel
-        worker processes and the losers are cancelled; otherwise the
-        sequential simulation of :func:`repro.decomp.driver.ghd_portfolio`
-        runs.  Either way the result is cached under a dedicated
-        ``portfolio`` key (per-algorithm verdicts and timings ride along in
-        the row's metadata, so Table 3 style accounting survives cache hits).
-        """
-        with TRACER.span("engine.portfolio", parent=trace, k=k) as span:
-            fp = fingerprint(hypergraph)
-            best, extra, implied = self._lookup(fp, hypergraph, _PORTFOLIO_KEY, k, timeout)
-            if best is None:
-                self.stats.book(executed=1)
-                best, per_algorithm = self._race(fp, hypergraph, k, timeout)
-            elif implied:
-                # A bounds-implied verdict has no per-algorithm race behind
-                # it; the witnessing race ran at a different k, so its
-                # timings must not masquerade as this k's (Table 3 honesty).
-                per_algorithm = {}
-            else:
-                per_algorithm = {
-                    name: CheckOutcome(row[0], row[1], cancelled=bool(row[2]) if len(row) > 2 else False)
-                    for name, row in (extra or {}).get("per", {}).items()
-                }
-                winner = (extra or {}).get("winner")
-                if winner in per_algorithm and best.decomposition is not None:
-                    per_algorithm[winner] = best
-            span.set(verdict=best.verdict)
-            return best, per_algorithm
-
     def _race(
         self,
         fp: str,
@@ -677,13 +646,28 @@ class DecompositionEngine:
             if outcome is None:
                 return None
             self._book_replay(1, int(implied))
+            # Only an exact row carries the race (winner and per-algorithm
+            # outcomes).  A bounds-implied verdict carries no row extras: the
+            # witnessing race ran at another k, so its timings must not pass
+            # for this k's (Table 3 honesty).
+            extra = extra or {}
+            winner = extra.get("winner")
+            per_algorithm = {
+                name: CheckOutcome(
+                    row[0], row[1], cancelled=bool(row[2]) if len(row) > 2 else False
+                )
+                for name, row in extra.get("per", {}).items()
+            }
+            if winner in per_algorithm and outcome.decomposition is not None:
+                per_algorithm[winner] = outcome
             return JobResult(
                 spec,
                 outcome.verdict,
                 outcome.seconds,
                 cached=True,
                 outcome=outcome,
-                winner=None if implied else (extra or {}).get("winner"),
+                winner=winner,
+                per_algorithm=per_algorithm,
                 implied=implied,
             )
         # WIDTH: replay the exact_width iteration against the store only.
@@ -761,7 +745,7 @@ class DecompositionEngine:
                 winner = next(
                     (name for name, o in per_algorithm.items() if o is outcome), None
                 )
-                return _executed(spec, outcome, winner)
+                return _executed(spec, outcome, winner, per_algorithm)
             width_result = self.exact_width(
                 spec.hypergraph, spec.max_k, spec.method, spec.timeout
             )

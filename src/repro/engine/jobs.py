@@ -157,6 +157,10 @@ class JobResult:
     width_result: WidthResult | None = None
     #: Winning algorithm, for ``portfolio`` jobs.
     winner: str | None = None
+    #: Each raced algorithm's outcome, for ``portfolio`` jobs that ran or
+    #: replayed an exact row in this process (not journalled); empty when
+    #: the verdict was implied by a race at another k (Table 3 counts no race).
+    per_algorithm: dict[str, CheckOutcome] | None = None
     #: Kernel-counter delta accrued executing this job (worker- or in-process
     #: side), and the worker-side span records grafted into the parent trace.
     counters: dict | None = None

@@ -9,7 +9,8 @@ ask for it.
 The view replays rather than reimplements: it rebuilds the corpus from the
 manifest, restores the journalled statistics, and then runs the analysis
 protocols (`run_hw_analysis`, `run_ghw_analysis`,
-`run_fractional_analysis`) against a replay engine whose every answer comes
+`run_fractional_analysis`) — the hw and ghw ones exactly as the runner ran
+them, wave by wave — against a replay engine whose every answer comes
 from the experiment's store.  In complete mode a store miss raises
 :class:`~repro.experiment.runner.ExperimentError` instead of silently
 computing fresh; ``partial=True`` relaxes that for in-flight experiments
@@ -174,7 +175,7 @@ class ExperimentResults:
             payload = stats.get(entry.name)
             if payload is not None:
                 entry.statistics = HypergraphStatistics(**payload)
-            elif entry.name not in stats:
+            else:
                 # never journalled (partial experiments) — compute live,
                 # it's deterministic
                 entry.statistics = compute_statistics(entry.hypergraph)
@@ -187,7 +188,7 @@ class ExperimentResults:
             self.repository,
             max_k=self.manifest.max_k,
             timeout=self.manifest.timeout,
-            engine=self._engine,
+            run_batch=self._engine.run_batch,
         )
 
     @cached_property
@@ -198,7 +199,7 @@ class ExperimentResults:
             self.repository,
             ks=tuple(self.manifest.ghw_ks),
             timeout=self.manifest.timeout,
-            engine=self._engine,
+            run_batch=self._engine.run_batch,
         )
 
     @cached_property

@@ -16,13 +16,17 @@ Resume is therefore not a special mode: :meth:`ExperimentRunner.run` always
 replays the phases in order — corpus (fingerprint-verified against the
 journal, so manifest or generator drift fails loudly instead of mixing two
 corpora), statistics, the Figure 4 hw sweep, the Tables 3/4 portfolio
-waves, the Tables 5/6 fractional waves — and every wave goes through
+waves, the Table 6 fractional wave — and every wave goes through
 ``run_batch``, which skips journalled jobs, answers what the store already
-knows, and executes only the remainder.
+knows, and executes only the remainder.  The hw and ghw phases are the
+analysis protocols themselves (:func:`~repro.analysis.hw_analysis.run_hw_analysis`,
+:func:`~repro.analysis.ghw_analysis.run_ghw_analysis`) handed the runner's
+journalled ``run_batch``, so which checks each phase asks, and in which
+order, is written once.
 
 The runner deliberately records *no* analysis results of its own: tables
 are derived later by :class:`repro.experiment.results.ExperimentResults`,
-which replays the original analysis protocols against the store.
+which runs the same protocols again against a store-replay engine.
 """
 
 from __future__ import annotations
@@ -32,6 +36,8 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from repro.analysis.fractional_analysis import FRAC_METHOD
+from repro.analysis.ghw_analysis import run_ghw_analysis
+from repro.analysis.hw_analysis import run_hw_analysis
 from repro.benchmark.repository import HyperBenchRepository
 from repro.core.properties import HypergraphStatistics, compute_statistics
 from repro.engine.fingerprint import fingerprint
@@ -206,11 +212,18 @@ class ExperimentRunner:
         self._stats_phase(meta, records, done_phases, repository)
 
         journal = Journal(self.paths.jobs)
-        hw_high = self._hw_phase(repository, journal, summary)
+        timeout = self.manifest.timeout
+
+        def run_batch(specs):
+            return self._run_batch(specs, journal, summary)
+
+        run_hw_analysis(repository, self.manifest.max_k, timeout, run_batch=run_batch)
         self._mark(meta, done_phases, "hw")
-        self._ghw_phase(repository, hw_high, journal, summary)
+        run_ghw_analysis(
+            repository, tuple(self.manifest.ghw_ks), timeout, run_batch=run_batch
+        )
         self._mark(meta, done_phases, "ghw")
-        self._frac_phase(repository, hw_high, journal, summary)
+        self._frac_phase(repository, run_batch)
         self._mark(meta, done_phases, "frac")
         return summary
 
@@ -256,13 +269,11 @@ class ExperimentRunner:
         done_phases: set,
         repository: HyperBenchRepository,
     ) -> None:
-        known = {r["name"]: r for r in records if r.get("type") == "stats"}
+        known = {r["name"]: r.get("stats") for r in records if r.get("type") == "stats"}
         for entry in repository:
-            prior = known.get(entry.name)
-            if prior is not None:
-                payload = prior.get("stats")
-                if payload is not None:
-                    entry.statistics = HypergraphStatistics(**payload)
+            payload = known.get(entry.name)
+            if payload is not None:
+                entry.statistics = HypergraphStatistics(**payload)
                 continue
             entry.statistics = compute_statistics(entry.hypergraph)
             meta.append(
@@ -274,67 +285,7 @@ class ExperimentRunner:
             )
         self._mark(meta, done_phases, "stats")
 
-    def _hw_phase(
-        self,
-        repository: HyperBenchRepository,
-        journal: Journal,
-        summary: RunSummary,
-    ) -> dict[str, int]:
-        """The Figure 4 k-ascent as per-k ``run_batch`` waves.
-
-        Same protocol as :func:`repro.analysis.hw_analysis.run_hw_analysis`
-        — every instance tries k = 1, 2, ... until its first "yes" — but a
-        whole k-level runs as one wave.  Which instances each wave contains
-        is derived deterministically from the previous waves' verdicts, so
-        after a crash the journal replays the finished prefix and the next
-        wave is re-derived identically.
-        """
-        timeout = self.manifest.timeout
-        pending = list(repository)
-        hw_high: dict[str, int] = {}
-        for k in range(1, self.manifest.max_k + 1):
-            if not pending:
-                break
-            specs = [
-                JobSpec.check(e.hypergraph, k, method="hd", timeout=timeout)
-                for e in pending
-            ]
-            report = self._run_batch(specs, journal, summary)
-            still = []
-            for entry, result in zip(pending, report.results):
-                if result.verdict == "yes":
-                    hw_high[entry.name] = k
-                else:
-                    still.append(entry)
-            pending = still
-        return hw_high
-
-    def _ghw_phase(
-        self,
-        repository: HyperBenchRepository,
-        hw_high: dict[str, int],
-        journal: Journal,
-        summary: RunSummary,
-    ) -> None:
-        """The Tables 3/4 races: ``portfolio(H, k-1)`` for hw-k instances."""
-        timeout = self.manifest.timeout
-        for k in self.manifest.ghw_ks:
-            if k < 2:
-                continue
-            specs = [
-                JobSpec.portfolio(e.hypergraph, k - 1, timeout=timeout)
-                for e in repository
-                if hw_high.get(e.name) == k
-            ]
-            self._run_batch(specs, journal, summary)
-
-    def _frac_phase(
-        self,
-        repository: HyperBenchRepository,
-        hw_high: dict[str, int],
-        journal: Journal,
-        summary: RunSummary,
-    ) -> None:
+    def _frac_phase(self, repository: HyperBenchRepository, run_batch) -> None:
         """The Table 6 searches: ``fracimprove`` at each instance's hw.
 
         Table 5 (ImproveHD) is polynomial and deterministic, so it is not
@@ -342,13 +293,11 @@ class ExperimentRunner:
         """
         timeout = self.manifest.effective_frac_timeout
         specs = [
-            JobSpec.check(
-                e.hypergraph, hw_high[e.name], method=FRAC_METHOD, timeout=timeout
-            )
+            JobSpec.check(e.hypergraph, e.hw_high, method=FRAC_METHOD, timeout=timeout)
             for e in repository
-            if hw_high.get(e.name) in set(self.manifest.hw_values)
+            if e.hw_high in set(self.manifest.hw_values)
         ]
-        self._run_batch(specs, journal, summary)
+        run_batch(specs)
 
 
 # ------------------------------------------------------------------- status

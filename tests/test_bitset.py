@@ -357,6 +357,20 @@ class TestHarness:
         regressions = compare_to_baseline(report, baseline)
         assert len(regressions) == 1 and regressions[0].startswith("a/x/k1")
 
+    def test_obs_gate_reads_the_median_of_adjacent_pairs(self):
+        import statistics
+
+        from repro.obs.metrics import REGISTRY
+        from repro.obs.trace import TRACER
+        from repro.perf.harness import run_obs_workload
+
+        before = (TRACER.enabled, REGISTRY.enabled)
+        report = run_obs_workload(rounds=3)
+        assert len(report["ratios"]) == 3
+        assert report["overhead_ratio"] == statistics.median(report["ratios"])
+        assert report["within_limit"] == (report["overhead_ratio"] <= report["limit"])
+        assert (TRACER.enabled, REGISTRY.enabled) == before
+
 
 class TestSubedgeMaskClosure:
     @pytest.mark.parametrize("seed", range(15))

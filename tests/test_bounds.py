@@ -360,9 +360,9 @@ class TestEngineFractionalStudy:
         assert {k: c.counts for k, c in plain.improve_hd.items()} == {
             k: c.counts for k, c in backed.improve_hd.items()
         }
-        # Table 6 bisections may differ by (at most) the bisection precision
-        # between the seeded and unseeded paths; the achieved widths agree
-        # to within it and nothing times out either way
+        # Table 6: both paths seed the bisection with the Table 5 width, so
+        # the achieved widths agree to within the bisection precision and
+        # nothing times out either way
         for a, b in zip(plain_repo, engine_repo):
             if a.fhw_high is None:
                 assert b.fhw_high is None

@@ -14,7 +14,7 @@ import pytest
 
 from repro.cli import main
 from repro.core.hypergraph import Hypergraph
-from repro.decomp.driver import NO, TIMEOUT, YES, CheckOutcome, exact_width, ghd_portfolio
+from repro.decomp.driver import NO, TIMEOUT, YES, CheckOutcome, exact_width
 from repro.decomp.detkdecomp import check_hd
 from repro.engine import (
     DecompositionEngine,
@@ -286,29 +286,24 @@ class TestEngine:
             ), h.name
 
     def test_parallel_portfolio_verdict_matches_sequential(self, triangle, cycle6):
-        sequential = DecompositionEngine()
-        parallel = DecompositionEngine(jobs=3)
-        for h, k in [(triangle, 1), (triangle, 2), (cycle6, 1), (cycle6, 2)]:
-            seq_best, _ = sequential.portfolio(h, k, timeout=30.0)
-            par_best, per = parallel.portfolio(h, k, timeout=30.0)
-            assert par_best.verdict == seq_best.verdict, (h.name, k)
-            assert set(per) == {"GlobalBIP", "LocalBIP", "BalSep"}
+        cases = [(triangle, 1), (triangle, 2), (cycle6, 1), (cycle6, 2)]
+        specs = [JobSpec.portfolio(h, k, timeout=30.0) for h, k in cases]
+        sequential = DecompositionEngine().run_batch(specs)
+        parallel = DecompositionEngine(jobs=3).run_batch(specs)
+        for (h, k), seq, par in zip(cases, sequential.results, parallel.results):
+            assert par.verdict == seq.verdict, (h.name, k)
+            assert set(par.per_algorithm) == {"GlobalBIP", "LocalBIP", "BalSep"}
 
     def test_portfolio_cache_preserves_per_algorithm_verdicts(self, triangle):
         engine = DecompositionEngine(store=ResultStore())
-        best1, per1 = engine.portfolio(triangle, 2)
-        best2, per2 = engine.portfolio(triangle, 2)
-        assert best2.verdict == best1.verdict == YES
-        assert {n: o.verdict for n, o in per2.items()} == {
-            n: o.verdict for n, o in per1.items()
+        spec = JobSpec.portfolio(triangle, 2)
+        first = engine.run_batch([spec]).results[0]
+        second = engine.run_batch([spec]).results[0]
+        assert second.verdict == first.verdict == YES
+        assert {n: o.verdict for n, o in second.per_algorithm.items()} == {
+            n: o.verdict for n, o in first.per_algorithm.items()
         }
         assert engine.stats.cache_hits == 1
-
-    def test_driver_portfolio_routes_through_engine(self, triangle):
-        engine = DecompositionEngine(store=ResultStore())
-        best, per = ghd_portfolio(triangle, 2, engine=engine)
-        assert best.verdict == YES
-        assert engine.stats.requests == 1
 
 
 class TestBatch:
@@ -377,6 +372,23 @@ class TestBatch:
         final = DecompositionEngine().run_batch(specs, journal=journal)
         assert final.resumed == len(specs)
 
+    def test_only_exact_portfolio_replays_carry_per_algorithm_outcomes(self, triangle):
+        """Table 3 honesty: an exact replay carries every racer's verdict and
+        the winner; a verdict implied by the race at another k carries
+        neither, so that race's timings never pass for this k's."""
+        engine = DecompositionEngine(store=ResultStore())
+        cold = engine.run_batch([JobSpec.portfolio(triangle, 2)]).results[0]
+        exact = engine.run_batch([JobSpec.portfolio(triangle, 2)]).results[0]
+        implied = engine.run_batch([JobSpec.portfolio(triangle, 3)]).results[0]
+        assert (exact.cached, exact.implied) == (True, False)
+        assert {n: o.verdict for n, o in exact.per_algorithm.items()} == {
+            "GlobalBIP": YES, "LocalBIP": YES, "BalSep": YES
+        }
+        assert exact.winner is not None and exact.winner == cold.winner
+        assert (implied.verdict, implied.cached, implied.implied) == (YES, True, True)
+        assert implied.winner is None
+        assert implied.per_algorithm == {}
+
     def test_journal_lines_are_valid_json(self, tmp_path, triangle):
         journal = tmp_path / "sweep.jsonl"
         DecompositionEngine().run_batch([JobSpec.check(triangle, 2)], journal=journal)
@@ -395,20 +407,21 @@ class TestRewiredLayers:
         from repro.analysis.ghw_analysis import run_ghw_analysis
         from repro.benchmark.classes import BenchmarkClass
         from repro.benchmark.repository import HyperBenchRepository
+        from repro.engine import BatchReport, JobResult
 
-        class StubEngine:
-            def portfolio(self, hypergraph, k, timeout=None):
-                per = {
-                    "GlobalBIP": CheckOutcome(YES, 0.1),
-                    "LocalBIP": CheckOutcome(TIMEOUT, 0.1, cancelled=True),
-                    "BalSep": CheckOutcome(NO, 0.05),
-                }
-                return per["GlobalBIP"], per
+        def run_batch(specs):
+            per = {
+                "GlobalBIP": CheckOutcome(YES, 0.1),
+                "LocalBIP": CheckOutcome(TIMEOUT, 0.1, cancelled=True),
+                "BalSep": CheckOutcome(NO, 0.05),
+            }
+            results = [JobResult(spec, YES, 0.1, per_algorithm=per) for spec in specs]
+            return BatchReport(total=len(specs), results=results)
 
         repository = HyperBenchRepository()
         entry = repository.add(triangle, BenchmarkClass.CQ_APPLICATION)
         entry.hw_high = 3
-        analysis = run_ghw_analysis(repository, ks=(3,), engine=StubEngine())
+        analysis = run_ghw_analysis(repository, ks=(3,), run_batch=run_batch)
         # genuine outcomes are recorded, the cancelled loser is not
         assert analysis.algorithm_cell("GlobalBIP", 3).yes == 1
         assert analysis.algorithm_cell("BalSep", 3).no == 1
@@ -422,7 +435,9 @@ class TestRewiredLayers:
         engine_repo = build_default_benchmark(scale=0.03, seed=3)
         plain = run_hw_analysis(plain_repo, max_k=3, timeout=None)
         engine = DecompositionEngine(store=ResultStore())
-        backed = run_hw_analysis(engine_repo, max_k=3, timeout=None, engine=engine)
+        backed = run_hw_analysis(
+            engine_repo, max_k=3, timeout=None, run_batch=engine.run_batch
+        )
         assert {
             (str(cls), k): (c.yes, c.no) for (cls, k), c in plain.cells.items()
         } == {(str(cls), k): (c.yes, c.no) for (cls, k), c in backed.cells.items()}
@@ -430,7 +445,7 @@ class TestRewiredLayers:
             assert (a.hw_low, a.hw_high) == (b.hw_low, b.hw_high)
         # a second sweep over the same repository is served from cache
         before = engine.stats.executed
-        run_hw_analysis(engine_repo, max_k=3, timeout=None, engine=engine)
+        run_hw_analysis(engine_repo, max_k=3, timeout=None, run_batch=engine.run_batch)
         assert engine.stats.executed == before
 
 
@@ -490,9 +505,3 @@ class TestCliEngineFlags:
         garbage.write_text("not a database", encoding="utf-8")
         assert main(["cache", "stats", "--cache", str(garbage)]) == 2
         assert "not a result store" in capsys.readouterr().err
-
-    def test_benchmark_with_jobs(self, tmp_path, capsys):
-        out_dir = tmp_path / "bench"
-        assert main(["benchmark", str(out_dir), "--scale", "0.03"]) == 0
-        assert (out_dir / "hyperbench.csv").exists()
-        assert len(list((out_dir / "hypergraphs").glob("*.hg"))) == 10

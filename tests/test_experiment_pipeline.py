@@ -232,8 +232,6 @@ class TestRunner:
             with pytest.raises(ExperimentError, match="no stored result"):
                 engine.check(triangle, 2)
             with pytest.raises(ExperimentError, match="no stored portfolio"):
-                engine.portfolio(triangle, 2)
-            with pytest.raises(ExperimentError, match="no stored portfolio"):
                 engine.run_batch([JobSpec.portfolio(triangle, 2)])
 
     def test_partial_results_compute_missing_checks_live(self, tmp_path):
