@@ -16,9 +16,6 @@ from __future__ import annotations
 
 import itertools
 
-import networkx as nx
-from networkx.algorithms.approximation import treewidth_min_fill_in
-
 from repro.core.decomposition import Decomposition, DecompositionNode
 from repro.core.hypergraph import Hypergraph
 from repro.utils.deadline import Deadline
@@ -33,6 +30,10 @@ __all__ = [
 
 def primal_graph(hypergraph: Hypergraph) -> nx.Graph:
     """The primal (Gaifman) graph: vertices adjacent iff they share an edge."""
+    # networkx loads on first use: nothing on the check, serve or worker
+    # paths needs it, and importing it costs every process ~290 modules.
+    import networkx as nx
+
     graph = nx.Graph()
     graph.add_nodes_from(hypergraph.vertices)
     for edge in hypergraph.edges.values():
@@ -47,6 +48,8 @@ def tree_decomposition_min_fill(hypergraph: Hypergraph) -> Decomposition:
     The result is a valid TD of the *hypergraph* (every hyperedge is a
     clique of the primal graph and therefore contained in some bag).
     """
+    from networkx.algorithms.approximation import treewidth_min_fill_in
+
     graph = primal_graph(hypergraph)
     if graph.number_of_nodes() == 0:
         return Decomposition(hypergraph, DecompositionNode(frozenset(), {}), kind="TD")

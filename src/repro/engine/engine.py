@@ -421,8 +421,11 @@ class DecompositionEngine:
         hypergraph: Hypergraph,
         k: int,
         timeout: float | None,
-    ) -> tuple[CheckOutcome, dict[str, CheckOutcome]]:
-        """Run the portfolio race (no lookup, no booking) and store it."""
+    ) -> tuple[CheckOutcome, str | None, dict[str, CheckOutcome]]:
+        """Run the portfolio race (no lookup, no booking) and store it.
+
+        Returns the verdict, the winner it stores (``None`` when no racer
+        answered) and every racer's outcome."""
         portfolio_methods = _methods.portfolio_methods()
         if self.parallel:
             winner_method, raced = workers.race_checks(
@@ -463,7 +466,7 @@ class DecompositionEngine:
             o = per_algorithm[display]
             if o.answered:
                 self._remember(fp, registry, k, timeout, o)
-        return best, per_algorithm
+        return best, winner, per_algorithm
 
     # ----------------------------------------------------------------- batch
 
@@ -738,13 +741,10 @@ class DecompositionEngine:
                 )
             if spec.kind == PORTFOLIO:
                 with TRACER.span("engine.portfolio", k=spec.k) as span:
-                    outcome, per_algorithm = self._race(
+                    outcome, winner, per_algorithm = self._race(
                         spec.fingerprint, spec.hypergraph, spec.k, spec.timeout
                     )
                     span.set(verdict=outcome.verdict)
-                winner = next(
-                    (name for name, o in per_algorithm.items() if o is outcome), None
-                )
                 return _executed(spec, outcome, winner, per_algorithm)
             width_result = self.exact_width(
                 spec.hypergraph, spec.max_k, spec.method, spec.timeout

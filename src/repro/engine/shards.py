@@ -4,21 +4,15 @@ Distributed dispatch turns the store from a private cache into a shared
 write target: every worker process finishing a wave writes its verdicts
 back, and a single SQLite file serialises all of them on one WAL writer
 lock.  Sharding by content fingerprint splits that contention N ways while
-keeping every lookup single-file: a job's results, bounds, and implied
-answers all live on the shard its fingerprint routes to.
+keeping every lookup single-file: a job's results, its per-method
+``bounds`` and its cross-method ``kind_bounds`` all live on the shard its
+fingerprint routes to, and no table is replicated.  A verdict is therefore
+one transaction on one shard file, and every read (``get``, ``implied``,
+``kind_bounds``, ``effective_bounds``) routes to that same owner.
 
 Routing is the first two hex digits of the (SHA-256) fingerprint modulo the
 shard count — deterministic, uniform, and stable across processes, so every
 worker and the dispatcher agree on each row's home without coordination.
-
-The one piece of knowledge that is *not* naturally shard-local is the
-cross-method ``kind_bounds`` table: its rows are keyed by fingerprint too,
-but the paper's width relations make them the store's most valuable
-derived facts, and replicating them costs a few integer rows per
-fingerprint.  :meth:`ShardedResultStore.put` therefore recomputes the
-owning shard's rows and then **replicates them to every other shard** via
-:meth:`ResultStore.seed_kind_bounds`, so implied answers stay shard-local
-no matter which shard a reader consults.
 
 A directory layout::
 
@@ -73,8 +67,8 @@ class ShardedResultStore:
     >>> store.put("00aa", "hd", 2, None, CheckOutcome("yes", 0.1))
     >>> store.get("00aa", "hd", 2, None).verdict
     'yes'
-    >>> all(s.kind_bounds("00aa", "hw") == (1, 2) for s in store.shards)
-    True
+    >>> [s.kind_bounds("00aa", "hw") for s in store.shards]    # owner only
+    [(1, 2), (1, None), (1, None), (1, None)]
 
     Parameters
     ----------
@@ -100,7 +94,6 @@ class ShardedResultStore:
     ):
         self._dir = None if path is None else Path(path)
         self.path = None if self._dir is None else str(self._dir)
-        self._migrated_fps: list[str] = []
         requested = None if shards is None else max(1, int(shards))
         if self._dir is None:
             self.n_shards = requested or self.DEFAULT_SHARDS
@@ -128,12 +121,6 @@ class ShardedResultStore:
             ResultStore(self._shard_path(i), max_entries=cap)
             for i in range(self.n_shards)
         ]
-        # A migration rebuilt each owner's knowledge layer from its rows;
-        # replicate it now that every shard is open, so implied answers are
-        # shard-local for migrated fingerprints too.
-        for fp in self._migrated_fps:
-            self._replicate_kind_bounds(fp)
-        self._migrated_fps = []
 
     def _per_shard_cap(self, max_entries: int | None) -> int | None:
         if max_entries is None:
@@ -184,7 +171,6 @@ class ShardedResultStore:
         buckets: dict[int, list[tuple]] = {}
         for row in rows:
             buckets.setdefault(shard_for(row[0], n_shards), []).append(row)
-        self._migrated_fps = sorted({row[0] for row in rows})
         for index in range(n_shards):
             with ResultStore(self._shard_path(index)) as shard:
                 shard.import_rows(buckets.get(index, []))
@@ -195,13 +181,6 @@ class ShardedResultStore:
 
     def _shard(self, fingerprint: str) -> ResultStore:
         return self.shards[shard_for(fingerprint, self.n_shards)]
-
-    def _replicate_kind_bounds(self, fingerprint: str) -> None:
-        owner = shard_for(fingerprint, self.n_shards)
-        rows = self.shards[owner].kind_bounds_for(fingerprint)
-        for index, shard in enumerate(self.shards):
-            if index != owner:
-                shard.seed_kind_bounds(fingerprint, rows)
 
     # ----------------------------------------------------------------- cache
 
@@ -228,7 +207,6 @@ class ShardedResultStore:
         extra: dict | None = None,
     ) -> None:
         self._shard(fingerprint).put(fingerprint, method, k, timeout, outcome, extra)
-        self._replicate_kind_bounds(fingerprint)
 
     def clear(self) -> None:
         for shard in self.shards:
@@ -255,14 +233,14 @@ class ShardedResultStore:
         return sorted(rows)
 
     def kind_bounds_rows(self) -> list[tuple[str, str, int, int | None]]:
-        # Replicas carry the same rows as the owner; dedupe on the key so the
-        # aggregate reads like a single store's table.
-        rows = {
-            (fp, kind): (lo, hi)
-            for shard in self.shards
-            for fp, kind, lo, hi in shard.kind_bounds_rows()
-        }
-        return sorted((fp, kind, lo, hi) for (fp, kind), (lo, hi) in rows.items())
+        # Caches written by older versions hold copies of other shards'
+        # rows that are no longer refreshed; only the owner's are current.
+        return sorted(
+            row
+            for index, shard in enumerate(self.shards)
+            for row in shard.kind_bounds_rows()
+            if shard_for(row[0], self.n_shards) == index
+        )
 
     # ------------------------------------------------------------ accounting
 

@@ -58,7 +58,9 @@ and between processes (several ``repro`` invocations pointing at the same
 lock, the connection is opened with ``check_same_thread=False``, and
 file-backed stores run in SQLite's WAL journal mode with a busy timeout —
 readers never block the writer, and a second process retries instead of
-failing with ``database is locked``.
+failing with ``database is locked``.  Each write call (``put``, ``clear``,
+``import_rows``) is one ``BEGIN IMMEDIATE … COMMIT`` transaction: one commit
+per verdict, and no reader ever sees a row without the bounds it implies.
 """
 
 from __future__ import annotations
@@ -67,6 +69,7 @@ import json
 import sqlite3
 import threading
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -340,6 +343,18 @@ class ResultStore:
     def __exit__(self, *exc_info: object) -> None:
         self.close()
 
+    @contextmanager
+    def _txn(self):
+        """A write transaction: a row, the bounds it implies and any
+        eviction it triggers commit together or not at all."""
+        self._conn.execute("BEGIN IMMEDIATE")
+        try:
+            yield
+        except BaseException:
+            self._conn.execute("ROLLBACK")
+            raise
+        self._conn.execute("COMMIT")
+
     # ----------------------------------------------------------------- cache
 
     def get(
@@ -434,47 +449,39 @@ class ResultStore:
         outcome: CheckOutcome,
         extra: dict | None = None,
     ) -> None:
-        """Persist one outcome (replacing any stale row under the same key)."""
-        with self._lock:
-            self._put_locked(fingerprint, method, k, timeout, outcome, extra)
+        """Persist one outcome (replacing any stale row under the same key).
 
-    def _put_locked(
-        self,
-        fingerprint: str,
-        method: str,
-        k: int,
-        timeout: float | None,
-        outcome: CheckOutcome,
-        extra: dict | None,
-    ) -> None:
+        The row, its bounds and any eviction it triggers are one transaction.
+        """
         decomposition = (
             decomposition_to_json(outcome.decomposition)
             if outcome.decomposition is not None
             else None
         )
         now = time.time()
-        self._conn.execute(
-            "INSERT OR REPLACE INTO results "
-            "(fingerprint, method, k, timeout, verdict, seconds, decomposition,"
-            " extra, created_at, last_used, use_count) "
-            "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, 0)",
-            (
-                fingerprint,
-                method,
-                k,
-                timeout_key(timeout),
-                outcome.verdict,
-                outcome.seconds,
-                decomposition,
-                json.dumps(extra, sort_keys=True) if extra else None,
-                now,
-                now,
-            ),
-        )
-        if method in MONOTONE_METHODS:
-            self._recompute_bounds(fingerprint, method)
-            self._recompute_kind_bounds(fingerprint)
-        self._evict()
+        with self._lock, self._txn():
+            self._conn.execute(
+                "INSERT OR REPLACE INTO results "
+                "(fingerprint, method, k, timeout, verdict, seconds, decomposition,"
+                " extra, created_at, last_used, use_count) "
+                "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, 0)",
+                (
+                    fingerprint,
+                    method,
+                    k,
+                    timeout_key(timeout),
+                    outcome.verdict,
+                    outcome.seconds,
+                    decomposition,
+                    json.dumps(extra, sort_keys=True) if extra else None,
+                    now,
+                    now,
+                ),
+            )
+            if method in MONOTONE_METHODS:
+                self._recompute_bounds(fingerprint, method)
+                self._recompute_kind_bounds(fingerprint)
+            self._evict()
 
     def _evict(self) -> None:
         if self.max_entries is None:
@@ -502,7 +509,7 @@ class ResultStore:
 
     def clear(self) -> None:
         """Drop every cached result and reset the lifetime counters."""
-        with self._lock:
+        with self._lock, self._txn():
             self._conn.execute("DELETE FROM results")
             self._conn.execute("DELETE FROM bounds")
             self._conn.execute("DELETE FROM kind_bounds")
@@ -761,41 +768,7 @@ class ResultStore:
                 )
             ]
 
-    # ------------------------------------------------- sharding / migration
-
-    def kind_bounds_for(self, fingerprint: str) -> list[tuple[str, int, int | None]]:
-        """One fingerprint's cross-method rows as ``(kind, lo, hi)`` tuples."""
-        with self._lock:
-            return [
-                (kind, lo, hi)
-                for kind, lo, hi in self._conn.execute(
-                    "SELECT kind, lo, hi FROM kind_bounds WHERE fingerprint = ?"
-                    " ORDER BY kind",
-                    (fingerprint,),
-                )
-            ]
-
-    def seed_kind_bounds(
-        self, fingerprint: str, rows: list[tuple[str, int, int | None]]
-    ) -> None:
-        """Replace one fingerprint's ``kind_bounds`` rows with ``rows``.
-
-        Used by :class:`~repro.engine.shards.ShardedResultStore` to replicate
-        the owning shard's cross-method knowledge to the other shards, where
-        no ``results`` rows back it — so the rows are *seeded*, not derived.
-        A later :meth:`put` of the same fingerprint on this store would
-        recompute from local rows only; the sharded wrapper re-replicates
-        after every put to keep the replicas authoritative.
-        """
-        with self._lock:
-            self._conn.execute(
-                "DELETE FROM kind_bounds WHERE fingerprint = ?", (fingerprint,)
-            )
-            self._conn.executemany(
-                "INSERT INTO kind_bounds (fingerprint, kind, lo, hi)"
-                " VALUES (?, ?, ?, ?)",
-                [(fingerprint, kind, lo, hi) for kind, lo, hi in rows],
-            )
+    # ------------------------------------------------------------ migration
 
     def export_rows(self) -> list[tuple]:
         """Every ``results`` row in insertable form (migration to shards)."""
@@ -808,14 +781,15 @@ class ResultStore:
 
     def import_rows(self, rows: list[tuple]) -> None:
         """Bulk-load rows exported by :meth:`export_rows`, then re-derive
-        the bounds and kind_bounds indices for every touched fingerprint.
+        the bounds and kind_bounds indices for every touched fingerprint,
+        all in one transaction.
 
         Timestamps and use counts are preserved, so LRU ordering survives a
         migration to a sharded layout.
         """
         if not rows:
             return
-        with self._lock:
+        with self._lock, self._txn():
             self._conn.executemany(
                 "INSERT OR REPLACE INTO results"
                 " (fingerprint, method, k, timeout, verdict, seconds,"

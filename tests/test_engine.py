@@ -32,7 +32,7 @@ from repro.engine import (
 from repro.benchmark.build import build_default_benchmark
 from repro.errors import ReproError
 from repro.io.json_io import decomposition_from_json, decomposition_to_json
-from tests.conftest import cycle_hypergraph, random_hypergraph
+from tests.conftest import clique_hypergraph, cycle_hypergraph, random_hypergraph
 
 
 def _spin_forever(hypergraph, k, deadline):
@@ -388,6 +388,24 @@ class TestBatch:
         assert (implied.verdict, implied.cached, implied.implied) == (YES, True, True)
         assert implied.winner is None
         assert implied.per_algorithm == {}
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_portfolio_winner_is_the_same_cold_and_replayed(self, triangle, jobs):
+        """A race nobody answers names no winner, however slow its racers;
+        a decided race names its winner.  Both read the same cold as
+        replayed from the store."""
+        engine = DecompositionEngine(store=ResultStore(), jobs=jobs)
+        racers = {"GlobalBIP", "LocalBIP", "BalSep"}
+        spec = JobSpec.portfolio(clique_hypergraph(5), 2, timeout=0.0)
+        cold, warm = (engine.run_batch([spec]).results[0] for _ in range(2))
+        assert (cold.verdict, warm.verdict, warm.cached) == (TIMEOUT, TIMEOUT, True)
+        assert (cold.winner, warm.winner) == (None, None)
+        assert set(cold.per_algorithm) == set(warm.per_algorithm) == racers
+
+        spec = JobSpec.portfolio(triangle, 2)
+        cold, warm = (engine.run_batch([spec]).results[0] for _ in range(2))
+        assert (cold.verdict, warm.verdict, warm.cached) == (YES, YES, True)
+        assert cold.winner in racers and warm.winner == cold.winner
 
     def test_journal_lines_are_valid_json(self, tmp_path, triangle):
         journal = tmp_path / "sweep.jsonl"

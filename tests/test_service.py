@@ -3,14 +3,15 @@
 Covers the scheduler's three dedup layers (store fast path, duplicate
 coalescing, batch waves), per-request deadline expiry, the HTTP transport
 (end-to-end client sessions, error statuses, concurrent clients sharing one
-warm engine), warm-cache restarts, and the concurrent-reader hardening of
-the store itself.
+warm engine), warm-cache restarts, and the concurrent-reader and
+concurrent-writer hardening of the store itself.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
+import multiprocessing
 import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -324,6 +325,21 @@ class TestServer:
 # ---------------------------------------------------- store concurrency bits
 
 
+#: Writer processes in the concurrent-put test: more than the test host's
+#: cores, so the writers' transactions interleave.
+_WRITERS = 3
+
+
+def _write_verdicts(path: str, writer: int, start, fps: list[str]) -> None:
+    """One writer process: a "no" at ``writer + 1`` and a "yes" at
+    ``10 + writer`` for every fingerprint, all writers released at once."""
+    with ResultStore(path) as store:
+        start.wait(timeout=60)
+        for fp in fps:
+            store.put(fp, "hd", writer + 1, None, CheckOutcome("no", 0.01))
+            store.put(fp, "hd", 10 + writer, None, CheckOutcome("yes", 0.01))
+
+
 class TestStoreConcurrency:
     def test_two_connections_share_a_file(self, tmp_path):
         """WAL + busy timeout: a second process-style connection reads rows
@@ -355,6 +371,37 @@ class TestStoreConcurrency:
         stats = store.stats
         assert stats.session_hits + stats.session_misses == 64
         store.close()
+
+    def test_concurrent_writer_processes_keep_the_bounds_exact(self, tmp_path):
+        """Each put rewrites its fingerprint's bounds from the rows it can
+        see.  Writers racing on one file must neither collide in each
+        other's half-done rewrite nor commit an interval that misses another
+        writer's row: every put is one transaction."""
+        path = str(tmp_path / "shared.db")
+        ResultStore(path).close()  # create the schema before the race
+        fps = [f"fp{i:02d}" for i in range(40)]
+        ctx = multiprocessing.get_context("spawn")
+        start = ctx.Barrier(_WRITERS + 1)
+        writers = [
+            ctx.Process(target=_write_verdicts, args=(path, w, start, fps))
+            for w in range(_WRITERS)
+        ]
+        for proc in writers:
+            proc.start()
+        try:
+            start.wait(timeout=60)
+        finally:
+            for proc in writers:
+                proc.join(timeout=60)
+                if proc.is_alive():
+                    proc.kill()
+                    proc.join()
+        assert [proc.exitcode for proc in writers] == [0] * _WRITERS
+        with ResultStore(path) as store:
+            assert len(store) == 2 * _WRITERS * len(fps)
+            for fp in fps:
+                assert store.bounds(fp, "hd") == (_WRITERS + 1, 10)
+                assert store.kind_bounds(fp, "hw") == (_WRITERS + 1, 10)
 
     def test_engine_reentrant_batch_submission(self):
         """Two threads submitting batches against one engine serialise on

@@ -1,14 +1,17 @@
 """The fingerprint-sharded result store.
 
 Routing determinism (every process agrees on each row's home shard),
-``kind_bounds`` replication (implied answers stay shard-local no matter
-which shard a reader consults), the aggregated accounting surfaces the CLI
-``cache stats|clear`` commands sit on, LRU capping split across shards, and
-in-place migration of a pre-shard single-file cache."""
+one-shard writes (a verdict is one transaction on its owner shard, and
+``implied``/``kind_bounds`` answer from the owner alone), the aggregated
+accounting surfaces the CLI ``cache stats|clear|bounds`` commands sit on,
+LRU capping split across shards, and in-place migration of a pre-shard
+single-file cache."""
 
 from __future__ import annotations
 
 import json
+import sqlite3
+from contextlib import closing
 
 import pytest
 
@@ -56,8 +59,8 @@ class TestRouting:
             for fp in fps:
                 owner = shard_for(fp, 4)
                 for index, shard in enumerate(store.shards):
-                    # bounds=False bypasses the replicated knowledge layer,
-                    # so only the owner holds the literal row
+                    # bounds=False asks for the literal row, which only
+                    # the owner holds
                     hit = shard.get(fp, "hd", 2, None, record=False, bounds=False)
                     assert (hit is not None) == (index == owner)
 
@@ -80,41 +83,64 @@ class TestRouting:
             ShardedResultStore(tmp_path / "cache.d", shards=5)
 
 
-# ------------------------------------------------------------- replication
+# ------------------------------------------------------ one-shard writes
 
 
-class TestKindBoundsReplication:
-    def test_every_shard_sees_the_owners_kind_bounds(self, tmp_path):
+def _kind_rows_on(shard: ResultStore, fp: str) -> int:
+    return shard._conn.execute(
+        "SELECT COUNT(*) FROM kind_bounds WHERE fingerprint = ?", (fp,)
+    ).fetchone()[0]
+
+
+class TestOneShardPerVerdict:
+    def test_a_put_changes_exactly_one_shard(self, tmp_path):
+        with ShardedResultStore(tmp_path / "cache.d", shards=4) as store:
+            for fp in _fingerprints(10):
+                for k, verdict in ((1, "no"), (2, "yes")):
+                    before = [shard._conn.total_changes for shard in store.shards]
+                    store.put(fp, "hd", k, None, CheckOutcome(verdict, 0.1))
+                    changed = [
+                        index
+                        for index, shard in enumerate(store.shards)
+                        if shard._conn.total_changes != before[index]
+                    ]
+                    assert changed == [shard_for(fp, 4)]
+
+    def test_implied_and_kind_bounds_answer_from_the_owner(self, tmp_path):
         fps = _fingerprints(10)
         with ShardedResultStore(tmp_path / "cache.d", shards=4) as store:
             for fp in fps:
                 store.put(fp, "hd", 2, None, CheckOutcome("yes", 0.1))
+            for fp in fps:
+                implied = store.implied(fp, "balsep", 2)  # hw <= 2 => ghw <= 2
+                assert implied is not None and implied.verdict == "yes"
+                assert store.kind_bounds(fp, "hw") == (1, 2)
+                owner = shard_for(fp, 4)
+                for index, shard in enumerate(store.shards):
+                    assert (_kind_rows_on(shard, fp) > 0) == (index == owner)
+
+    def test_a_failed_put_leaves_no_row_and_unchanged_bounds(
+        self, tmp_path, monkeypatch
+    ):
+        fp = _fingerprints(1)[0]
+        with ShardedResultStore(tmp_path / "cache.d", shards=4) as store:
+            store.put(fp, "hd", 2, None, CheckOutcome("yes", 0.1))
+
+            def broken(self, fingerprint):
+                raise RuntimeError("kind_bounds recompute failed")
+
+            monkeypatch.setattr(ResultStore, "_recompute_kind_bounds", broken)
+            with pytest.raises(RuntimeError, match="recompute failed"):
                 store.put(fp, "hd", 1, None, CheckOutcome("no", 0.1))
-            for fp in fps:
-                expected = store.kind_bounds(fp, "hw")
-                assert expected == (2, 2)
-                for shard in store.shards:
-                    assert shard.kind_bounds(fp, "hw") == expected
+            monkeypatch.undo()
 
-    def test_implied_answers_are_shard_local(self, tmp_path):
-        """A reader must never need a cross-shard query to prune a job.
-
-        hw ≤ 2 implies ghw ≤ 2 (and hw ≥ 2 implies ghw ≥ ceil(2/3) wait —
-        the exact relation lives in WIDTH_RELATIONS); the point here is
-        that whatever `implied` derives on the owner is derivable on every
-        shard, because the kind_bounds rows were replicated.
-        """
-        fps = _fingerprints(10)
-        with ShardedResultStore(tmp_path / "cache.d", shards=4) as store:
-            for fp in fps:
-                store.put(fp, "hd", 2, None, CheckOutcome("yes", 0.1))
-            for fp in fps:
-                owner_implied = store.implied(fp, "balsep", 2)
-                assert owner_implied is not None  # hw <= 2 => ghw <= 2
-                for shard in store.shards:
-                    local = shard.implied(fp, "balsep", 2)
-                    assert local is not None
-                    assert local.verdict == owner_implied.verdict
+            assert store.get(fp, "hd", 1, None, record=False, bounds=False) is None
+            assert len(store) == 1
+            assert store.bounds(fp, "hd") == (1, 2)
+            assert not store.shards[shard_for(fp, 4)]._conn.in_transaction
+            # the store still takes writes after the rollback
+            store.put(fp, "hd", 1, None, CheckOutcome("no", 0.1))
+            assert store.bounds(fp, "hd") == (2, 2)
 
     def test_aggregate_kind_rows_dedupe_replicas(self, tmp_path):
         fps = _fingerprints(6)
@@ -125,6 +151,32 @@ class TestKindBoundsReplication:
             keys = [(fp, kind) for fp, kind, _lo, _hi in rows]
             assert len(keys) == len(set(keys)), "replicas leaked into the view"
             assert {fp for fp, _ in keys} == set(fps)
+
+    def test_stale_replicas_in_an_older_cache_are_ignored(self, tmp_path, capsys):
+        """Older versions copied each fingerprint's kind_bounds rows to every
+        shard and stopped refreshing the copies; only the owner's count."""
+        cache_dir = tmp_path / "cache.d"
+        fp = "00" + "ab" * 31  # owned by shard 0; the copies sit after it
+        with ShardedResultStore(cache_dir, shards=4) as store:
+            store.put(fp, "hd", 2, None, CheckOutcome("yes", 0.1))
+            store.put(fp, "hd", 1, None, CheckOutcome("no", 0.1))
+        for index in (1, 2, 3):
+            shard_file = cache_dir / f"shard-{index:02d}.db"
+            with closing(sqlite3.connect(shard_file)) as conn, conn:
+                conn.execute(
+                    "INSERT OR REPLACE INTO kind_bounds (fingerprint, kind, lo, hi)"
+                    " VALUES (?, 'hw', 1, 5)",
+                    (fp,),
+                )
+        with open_result_store(cache_dir) as store:
+            assert store.kind_bounds(fp, "hw") == (2, 2)
+            assert [r for r in store.kind_bounds_rows() if r[1] == "hw"] == [
+                (fp, "hw", 2, 2)
+            ]
+        assert main(["cache", "bounds", "--cache", str(cache_dir), "--kind", "hw"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        kind_lines = [line.split() for line in lines if line.split()[1:2] == ["hw"]]
+        assert kind_lines == [[fp[:12] + "..", "hw", "2", "2"]]
 
 
 # -------------------------------------------------- accounting + eviction
@@ -196,9 +248,10 @@ class TestSingleFileMigration:
             assert hit.verdict == "yes"
             assert hit.decomposition_json is not None
             assert store.bounds(fp, "hd") == (2, 2)
-            # migrated rows rebuilt the knowledge layer and replicated it
-            for shard in store.shards:
-                assert shard.kind_bounds(fp, "hw") == (2, 2)
+            # the owner rebuilt the knowledge layer from its migrated rows
+            owner = shard_for(fp, 2)
+            assert store.shards[owner].kind_bounds(fp, "hw") == (2, 2)
+            assert _kind_rows_on(store.shards[1 - owner], fp) == 0
 
         assert path.is_dir()
         backup = tmp_path / "cache.db.preshard"

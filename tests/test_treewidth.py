@@ -1,5 +1,9 @@
 """Tests for the primal graph, min-fill TDs, and exact treewidth."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.core.hypergraph import Hypergraph
@@ -11,7 +15,12 @@ from repro.core.treewidth import (
 )
 from repro.decomp.detkdecomp import check_hd
 from repro.decomp.driver import exact_width
-from tests.conftest import clique_hypergraph, cycle_hypergraph, random_hypergraph
+from tests.conftest import (
+    REPO_ROOT,
+    clique_hypergraph,
+    cycle_hypergraph,
+    random_hypergraph,
+)
 
 
 class TestPrimalGraph:
@@ -84,3 +93,24 @@ class TestWidthRelations:
         h = Hypergraph({"wide": ["a", "b", "c", "d", "e"]})
         assert check_hd(h, 1) is not None
         assert treewidth_exact(h) == 4
+
+
+class TestLazyNetworkx:
+    def test_entry_modules_do_not_load_networkx(self):
+        """The CLI, the service and the pull-worker never pay the networkx
+        import; only the treewidth functions load it, on first use."""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(REPO_ROOT / "src"), env.get("PYTHONPATH", "")]
+        )
+        probe = (
+            "import sys\n"
+            "import repro.cli, repro.service.server, repro.engine.remote\n"
+            "print('networkx' in sys.modules)\n"
+        )
+        run = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+            timeout=60,
+        )
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.strip() == "False"
