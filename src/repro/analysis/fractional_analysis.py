@@ -95,13 +95,23 @@ class FractionalAnalysis:
         return target[k]
 
 
+def _booked_get(store, hypergraph, method: str, k: int, timeout, bounds: bool = True):
+    """Look one key up in ``store`` and book the lookup as a hit or a miss."""
+    stored = store.get(fingerprint(hypergraph), method, k, timeout, bounds)
+    if stored is None:
+        store.record(misses=1)
+    else:
+        store.record(hits=1, implied=int(stored.implied))
+    return stored
+
+
 def _stored_hd(store, hypergraph, k: int, timeout: float | None):
     """Replay the Figure 4 HD from the result store (warm start), or ``None``.
 
     A bounds-implied "yes" qualifies too: its witnessing decomposition has
     width ≤ k by monotonicity.
     """
-    stored = store.get(fingerprint(hypergraph), "hd", k, timeout)
+    stored = _booked_get(store, hypergraph, "hd", k, timeout)
     if stored is None or stored.verdict != YES:
         return None
     return stored.outcome(hypergraph).decomposition
@@ -148,7 +158,7 @@ def frac_improve_outcome(
     """
     cacheable = store is not None and precision == DEFAULT_PRECISION
     if cacheable:
-        stored = store.get(fingerprint(hypergraph), FRAC_METHOD, k, timeout, bounds=False)
+        stored = _booked_get(store, hypergraph, FRAC_METHOD, k, timeout, bounds=False)
         if stored is not None:
             return stored.outcome(hypergraph)
     deadline = Deadline(timeout)

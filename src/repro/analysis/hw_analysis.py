@@ -113,9 +113,9 @@ def run_hw_analysis(
                 entry.ghw_high = k  # ghw <= hw
                 if entry.ghw_low is None:
                     entry.ghw_low = 1
-                # A journal-resumed result carries no live outcome, and a
-                # bounds-implied yes whose witness row lost its decomposition
-                # (eviction) has none: neither may erase a stored HD.
+                # A journal-resumed result carries no live outcome, and a yes
+                # implied by another method's rows (hw <= 3·ghw + 1, say) may
+                # carry no HD: neither may erase a stored HD.
                 if result.outcome is not None and result.outcome.decomposition is not None:
                     entry.extra["hd"] = result.outcome.decomposition
             elif result.verdict == NO:

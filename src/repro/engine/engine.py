@@ -245,24 +245,18 @@ class DecompositionEngine:
         method: str,
         k: int,
         timeout: float | None,
-        record: bool = True,
     ) -> tuple[CheckOutcome | None, dict | None, bool]:
-        """Consult the store; returns ``(outcome, extra, implied)``.
+        """Peek at the store; returns ``(outcome, extra, implied)``.
 
         ``implied`` is true when the bounds index (not an exact row) answered.
-        ``record=False`` peeks without touching the engine's request/hit
-        counters — batch replay uses this and books its lookups only once
-        it knows whether the whole job was served from cache.
+        Books nothing: the caller books the request once it knows what the
+        lookup meant (a hit, a miss, or one step of a job that may yet miss).
         """
-        if record:
-            self.stats.book(requests=1)
         if self.store is None:
             return None, None, False
-        stored = self.store.get(fp, method, k, timeout, record=record)
+        stored = self.store.get(fp, method, k, timeout)
         if stored is None:
             return None, None, False
-        if record:
-            self.stats.book(cache_hits=1, implied=int(stored.implied))
         return stored.outcome(hypergraph), stored.extra, stored.implied
 
     def _remember(
@@ -296,11 +290,14 @@ class DecompositionEngine:
         """
         with TRACER.span("engine.check", parent=trace, method=method, k=k) as span:
             fp = fingerprint(hypergraph)
-            outcome, _, _ = self._lookup(fp, hypergraph, method, k, timeout)
+            outcome, _, implied = self._lookup(fp, hypergraph, method, k, timeout)
             if outcome is not None:
+                self._book_replay(1, int(implied))
                 span.set(source="cache", verdict=outcome.verdict)
                 return outcome
-            self.stats.book(executed=1)
+            self.stats.book(requests=1, executed=1)
+            if self.store is not None:
+                self.store.record(misses=1)
             outcome = self._execute(method, hypergraph, k, timeout)
             self._remember(fp, method, k, timeout, outcome)
             span.set(source="executed", verdict=outcome.verdict)
@@ -353,9 +350,10 @@ class DecompositionEngine:
         sweep touches O(log(hi − lo)) keys, all usually answered from the
         store.  Without a known upper bound the linear protocol runs, but
         every ``k < lo`` is still answered instantly by an implied "no".
-        A timeout mid-bisection (or stale bounds after eviction) falls back
-        to the linear protocol, whose loose-bounds semantics match the
-        sequential driver exactly.
+        A timeout mid-bisection (or bounds no longer backed by rows, say
+        after another process's ``clear``) falls back to the linear
+        protocol, whose loose-bounds semantics match the sequential driver
+        exactly.
         """
         with TRACER.span("engine.width", parent=trace, method=method, max_k=max_k):
             if self.store is not None:
@@ -546,7 +544,7 @@ class DecompositionEngine:
                 executed=len(attempts) - len(hits),
             )
             if self.store is not None:
-                self.store.record_misses(len(attempts))
+                self.store.record(misses=len(attempts))
 
             report = BatchReport(total=len(specs), results=results)
             for result in results:
@@ -620,16 +618,16 @@ class DecompositionEngine:
     def _replay_from_cache(self, spec: JobSpec) -> JobResult | None:
         """Answer a whole job from the store, or ``None`` on any miss.
 
-        Lookups peek without recording; the engine books one request + hit
-        per underlying check only when the whole job replays, so partially
-        cached jobs are not double-counted when they subsequently execute.
+        The lookups book nothing; one request and hit per underlying check
+        is booked (:meth:`_book_replay`) only when the whole job replays, so
+        a partially cached job is not double-counted when it then executes.
         """
         if self.store is None:
             return None
         fp = spec.fingerprint
         if spec.kind == CHECK:
             outcome, _, implied = self._lookup(
-                fp, spec.hypergraph, spec.method, spec.k, spec.timeout, record=False
+                fp, spec.hypergraph, spec.method, spec.k, spec.timeout
             )
             if outcome is None:
                 return None
@@ -644,7 +642,7 @@ class DecompositionEngine:
             )
         if spec.kind == PORTFOLIO:
             outcome, extra, implied = self._lookup(
-                fp, spec.hypergraph, _PORTFOLIO_KEY, spec.k, spec.timeout, record=False
+                fp, spec.hypergraph, _PORTFOLIO_KEY, spec.k, spec.timeout
             )
             if outcome is None:
                 return None
@@ -679,7 +677,7 @@ class DecompositionEngine:
 
         def cache_only_runner(_check, h, k, t):
             nonlocal lookups, implied_lookups
-            outcome, _, implied = self._lookup(fp, h, spec.method, k, t, record=False)
+            outcome, _, implied = self._lookup(fp, h, spec.method, k, t)
             if outcome is None:
                 raise _CacheMiss
             lookups += 1
@@ -702,9 +700,9 @@ class DecompositionEngine:
         )
 
     def _book_replay(self, lookups: int, implied: int = 0) -> None:
+        """Book ``lookups`` store-answered requests, engine and store alike."""
         self.stats.book(requests=lookups, cache_hits=lookups, implied=implied)
-        if self.store is not None:
-            self.store.record_hits(lookups, implied)
+        self.store.record(hits=lookups, implied=implied)
 
     def _width_job_result(
         self, spec: JobSpec, width_result: WidthResult, cached: bool, implied: bool = False
@@ -728,12 +726,12 @@ class DecompositionEngine:
         return _executed(spec, outcome)
 
     def _run_spec(self, spec: JobSpec) -> JobResult:
-        # Only reached after _replay_from_cache missed (a non-recording peek),
-        # so check and portfolio jobs execute without a second lookup; the
-        # wave books the peek as their one miss.  The spec's trace context
-        # (if the submitting request carried one) becomes ambient, so the
-        # engine / worker spans below land in that request's trace instead
-        # of the wave's.
+        # Only reached after _replay_from_cache missed (a peek that books
+        # nothing), so check and portfolio jobs execute without a second
+        # lookup; the wave books the peek as their one miss.  The spec's
+        # trace context (if the submitting request carried one) becomes
+        # ambient, so the engine / worker spans below land in that request's
+        # trace instead of the wave's.
         with TRACER.attach(spec.trace):
             if spec.kind == CHECK:
                 return self._checked(

@@ -59,9 +59,9 @@ class ShardedResultStore:
 
     Duck-types :class:`ResultStore` for every surface the engine, service,
     and CLI touch — ``get``/``put``/``bounds``/``kind_bounds``/
-    ``effective_bounds``/``implied`` route by fingerprint; ``stats``,
-    ``__len__``, ``methods``, ``bounds_rows``, ``kind_bounds_rows``,
-    ``clear`` aggregate across shards.
+    ``effective_bounds``/``implied`` route by fingerprint; ``record`` books
+    lookups on shard 0; ``stats``, ``__len__``, ``methods``,
+    ``bounds_rows``, ``kind_bounds_rows``, ``clear`` aggregate across shards.
 
     >>> store = ShardedResultStore(shards=4)        # ephemeral, in-memory
     >>> store.put("00aa", "hd", 2, None, CheckOutcome("yes", 0.1))
@@ -79,28 +79,17 @@ class ShardedResultStore:
         Shard count for a *new* store.  An existing directory's recorded
         count always wins (resharding is not supported in place); passing a
         conflicting count raises.
-    max_entries:
-        Total LRU cap, split evenly across shards (each shard enforces
-        ``ceil(max_entries / n)`` so the total stays ≤ ``max_entries + n``).
     """
 
     DEFAULT_SHARDS = 4
 
-    def __init__(
-        self,
-        path: str | Path | None = None,
-        shards: int | None = None,
-        max_entries: int | None = None,
-    ):
+    def __init__(self, path: str | Path | None = None, shards: int | None = None):
         self._dir = None if path is None else Path(path)
         self.path = None if self._dir is None else str(self._dir)
         requested = None if shards is None else max(1, int(shards))
         if self._dir is None:
             self.n_shards = requested or self.DEFAULT_SHARDS
-            self.shards = [
-                ResultStore(max_entries=self._per_shard_cap(max_entries))
-                for _ in range(self.n_shards)
-            ]
+            self.shards = [ResultStore() for _ in range(self.n_shards)]
             return
         if self._dir.is_file():
             self._migrate_single_file(requested or self.DEFAULT_SHARDS)
@@ -116,17 +105,7 @@ class ShardedResultStore:
                     f" to {requested} is not supported"
                 )
             self.n_shards = recorded
-        cap = self._per_shard_cap(max_entries)
-        self.shards = [
-            ResultStore(self._shard_path(i), max_entries=cap)
-            for i in range(self.n_shards)
-        ]
-
-    def _per_shard_cap(self, max_entries: int | None) -> int | None:
-        if max_entries is None:
-            return None
-        n = self.n_shards if hasattr(self, "n_shards") else self.DEFAULT_SHARDS
-        return max(1, -(-max_entries // n))
+        self.shards = [ResultStore(self._shard_path(i)) for i in range(self.n_shards)]
 
     def _shard_path(self, index: int) -> Path:
         return self._dir / f"shard-{index:02d}.db"
@@ -190,12 +169,9 @@ class ShardedResultStore:
         method: str,
         k: int,
         timeout: float | None,
-        record: bool = True,
         bounds: bool = True,
     ) -> StoredResult | None:
-        return self._shard(fingerprint).get(
-            fingerprint, method, k, timeout, record=record, bounds=bounds
-        )
+        return self._shard(fingerprint).get(fingerprint, method, k, timeout, bounds)
 
     def put(
         self,
@@ -247,13 +223,10 @@ class ShardedResultStore:
     def __len__(self) -> int:
         return sum(len(shard) for shard in self.shards)
 
-    def record_hits(self, count: int, implied: int = 0) -> None:
-        # Batch-level accounting has no single fingerprint; shard 0 keeps
-        # the lifetime counters (stats() aggregates, so placement is moot).
-        self.shards[0].record_hits(count, implied)
-
-    def record_misses(self, count: int) -> None:
-        self.shards[0].record_misses(count)
+    def record(self, hits: int = 0, misses: int = 0, implied: int = 0) -> None:
+        # Booked lookups can span fingerprints; shard 0 keeps the counters
+        # (stats() aggregates, so placement is moot).
+        self.shards[0].record(hits, misses, implied)
 
     @property
     def stats(self) -> StoreStats:
@@ -294,11 +267,7 @@ class ShardedResultStore:
         )
 
 
-def open_result_store(
-    path: str | Path | None,
-    shards: int | None = None,
-    max_entries: int | None = None,
-):
+def open_result_store(path: str | Path | None, shards: int | None = None):
     """Open the right store flavour for a ``--cache`` path.
 
     - ``None`` path → ephemeral in-memory :class:`ResultStore` (sharded
@@ -310,8 +279,8 @@ def open_result_store(
     """
     if path is None:
         if shards is not None and shards > 1:
-            return ShardedResultStore(shards=shards, max_entries=max_entries)
-        return ResultStore(max_entries=max_entries)
+            return ShardedResultStore(shards=shards)
+        return ResultStore()
     path = Path(path)
     sharded = (
         (shards is not None and shards > 1)
@@ -319,5 +288,5 @@ def open_result_store(
         or (path / _META_NAME).exists()
     )
     if sharded:
-        return ShardedResultStore(path, shards=shards, max_entries=max_entries)
-    return ResultStore(path, max_entries=max_entries)
+        return ShardedResultStore(path, shards=shards)
+    return ResultStore(path)

@@ -13,8 +13,8 @@ anything the store hands back can be validated by the independent checkers
 in :mod:`repro.core.decomposition`.
 
 The store keeps lifetime hit/miss counters in a ``meta`` table (surfaced by
-``repro cache stats``) plus per-session counters, and evicts
-least-recently-used rows once ``max_entries`` is exceeded.
+``repro cache stats``) plus per-session counters.  A lookup only reads: the
+caller that knows what a lookup meant books it with :meth:`ResultStore.record`.
 
 On top of the row cache sits a per-``(fingerprint, method)`` **bounds index**:
 ``Check(H, k)`` is monotone in ``k`` for every method whose search space only
@@ -27,9 +27,9 @@ it when no row matches: ``k >= hi`` replays the witnessing yes-row (its
 decomposition is valid evidence at any larger k), ``k < lo`` is a derived
 "no".  Only methods the :mod:`repro.engine.methods` registry marks monotone
 participate (see :data:`MONOTONE_METHODS`); custom registered methods make
-no monotonicity promise.  The index is recomputed from the surviving rows on
-every put, eviction and clear, so it never claims more than the rows present
-can justify.
+no monotonicity promise.  The index is recomputed from the stored rows on
+every put and clear, so it never claims more than the rows present can
+justify.
 
 On top of the per-method index sits the **cross-method knowledge layer**:
 the paper's width notions are related by the proven inequalities
@@ -61,6 +61,8 @@ readers never block the writer, and a second process retries instead of
 failing with ``database is locked``.  Each write call (``put``, ``clear``,
 ``import_rows``) is one ``BEGIN IMMEDIATE … COMMIT`` transaction: one commit
 per verdict, and no reader ever sees a row without the bounds it implies.
+A lookup (``get``, ``implied``, the bounds readers) takes no write lock and
+appends nothing to the WAL.
 """
 
 from __future__ import annotations
@@ -91,9 +93,6 @@ _M_MISSES = REGISTRY.counter(
 _M_IMPLIED = REGISTRY.counter(
     "repro_store_implied_total",
     "Store hits derived from the bounds index rather than an exact row.",
-)
-_M_EVICTIONS = REGISTRY.counter(
-    "repro_store_evictions_total", "Rows evicted by the LRU size cap."
 )
 
 __all__ = [
@@ -281,13 +280,10 @@ class ResultStore:
     ----------
     path:
         SQLite file path, or ``":memory:"`` for an ephemeral store.
-    max_entries:
-        LRU eviction threshold; ``None`` disables eviction.
     """
 
-    def __init__(self, path: str | Path = ":memory:", max_entries: int | None = None):
+    def __init__(self, path: str | Path = ":memory:"):
         self.path = str(path)
-        self.max_entries = max_entries
         self.session_hits = 0
         self.session_misses = 0
         self.session_implied = 0
@@ -345,8 +341,8 @@ class ResultStore:
 
     @contextmanager
     def _txn(self):
-        """A write transaction: a row, the bounds it implies and any
-        eviction it triggers commit together or not at all."""
+        """A write transaction: a row and the bounds it implies commit
+        together or not at all."""
         self._conn.execute("BEGIN IMMEDIATE")
         try:
             yield
@@ -363,10 +359,9 @@ class ResultStore:
         method: str,
         k: int,
         timeout: float | None,
-        record: bool = True,
         bounds: bool = True,
     ) -> StoredResult | None:
-        """Look up one result; counts a hit/miss and touches the LRU clock.
+        """Look up one result; a read that books nothing (see :meth:`record`).
 
         Lookup order: a definite answer for ``(fingerprint, method, k)``
         under *any* budget (yes/no are facts about the hypergraph), then —
@@ -375,64 +370,29 @@ class ResultStore:
         row, replaying a timeout verdict for its own budget.  Derived
         definite answers thus dominate stale timeout rows: once some other k
         settles the verdict, a recorded timeout at this key stops replaying.
-
-        ``record=False`` peeks without touching the hit/miss counters (the
-        engine's batch replay books its lookups via :meth:`record_hits`
-        only once it knows the whole job was served from cache).
         """
         with self._lock:
-            return self._get_locked(fingerprint, method, k, timeout, record, bounds)
-
-    def _get_locked(
-        self,
-        fingerprint: str,
-        method: str,
-        k: int,
-        timeout: float | None,
-        record: bool,
-        bounds: bool,
-    ) -> StoredResult | None:
-        # Definite answers are timeout independent; prefer one recorded under
-        # any budget over a timeout verdict at the exact key.
-        row = self._conn.execute(
-            "SELECT rowid, verdict, seconds, decomposition, extra FROM results "
-            "WHERE fingerprint = ? AND method = ? AND k = ? "
-            "AND verdict IN (?, ?) LIMIT 1",
-            (fingerprint, method, k, YES, NO),
-        ).fetchone()
-        if row is None and bounds:
-            derived = self.implied(fingerprint, method, k)
-            if derived is not None:
-                if record:
-                    self.session_hits += 1
-                    self.session_implied += 1
-                    self._bump_meta("hits")
-                    self._bump_meta("implied")
-                    _M_HITS.inc()
-                    _M_IMPLIED.inc()
-                return derived
-        if row is None:
+            # Definite answers are timeout independent; prefer one recorded
+            # under any budget over a timeout verdict at the exact key.
             row = self._conn.execute(
-                "SELECT rowid, verdict, seconds, decomposition, extra FROM results "
-                "WHERE fingerprint = ? AND method = ? AND k = ? AND timeout = ?",
-                (fingerprint, method, k, timeout_key(timeout)),
+                "SELECT verdict, seconds, decomposition, extra FROM results "
+                "WHERE fingerprint = ? AND method = ? AND k = ? "
+                "AND verdict IN (?, ?) LIMIT 1",
+                (fingerprint, method, k, YES, NO),
             ).fetchone()
+            if row is None and bounds:
+                derived = self.implied(fingerprint, method, k)
+                if derived is not None:
+                    return derived
+            if row is None:
+                row = self._conn.execute(
+                    "SELECT verdict, seconds, decomposition, extra FROM results "
+                    "WHERE fingerprint = ? AND method = ? AND k = ? AND timeout = ?",
+                    (fingerprint, method, k, timeout_key(timeout)),
+                ).fetchone()
         if row is None:
-            if record:
-                self.session_misses += 1
-                self._bump_meta("misses")
-                _M_MISSES.inc()
             return None
-        rowid, verdict, seconds, decomposition, extra = row
-        self._conn.execute(
-            "UPDATE results SET last_used = ?, use_count = use_count + 1 "
-            "WHERE rowid = ?",
-            (time.time(), rowid),
-        )
-        if record:
-            self.session_hits += 1
-            self._bump_meta("hits")
-            _M_HITS.inc()
+        verdict, seconds, decomposition, extra = row
         return StoredResult(
             verdict,
             seconds,
@@ -451,13 +411,15 @@ class ResultStore:
     ) -> None:
         """Persist one outcome (replacing any stale row under the same key).
 
-        The row, its bounds and any eviction it triggers are one transaction.
+        The row and its bounds are one transaction.
         """
         decomposition = (
             decomposition_to_json(outcome.decomposition)
             if outcome.decomposition is not None
             else None
         )
+        # Nothing reads created_at/last_used/use_count; they are written so
+        # builds that still name the columns can read and write the file.
         now = time.time()
         with self._lock, self._txn():
             self._conn.execute(
@@ -481,31 +443,6 @@ class ResultStore:
             if method in MONOTONE_METHODS:
                 self._recompute_bounds(fingerprint, method)
                 self._recompute_kind_bounds(fingerprint)
-            self._evict()
-
-    def _evict(self) -> None:
-        if self.max_entries is None:
-            return
-        excess = len(self) - self.max_entries
-        if excess > 0:
-            victims = self._conn.execute(
-                "SELECT rowid, fingerprint, method FROM results "
-                "ORDER BY last_used ASC LIMIT ?",
-                (excess,),
-            ).fetchall()
-            self._conn.executemany(
-                "DELETE FROM results WHERE rowid = ?",
-                [(rowid,) for rowid, _, _ in victims],
-            )
-            _M_EVICTIONS.inc(len(victims))
-            # Evicted rows may have justified a bound; shrink the index back
-            # to what the surviving rows prove.
-            touched = {(fp, m) for _, fp, m in victims}
-            for fp, method in touched:
-                if method in MONOTONE_METHODS:
-                    self._recompute_bounds(fp, method)
-            for fp in {fp for fp, _ in touched}:
-                self._recompute_kind_bounds(fp)
 
     def clear(self) -> None:
         """Drop every cached result and reset the lifetime counters."""
@@ -521,8 +458,8 @@ class ResultStore:
         """Re-derive ``[lo, hi]`` for one key from the rows currently stored.
 
         Recomputation (rather than monotone tightening) keeps the index exact
-        under row replacement and LRU eviction: the interval always equals
-        precisely what the surviving definite verdicts justify.
+        under row replacement: the interval always equals precisely what the
+        stored definite verdicts justify.
         """
         max_no, min_yes = self._conn.execute(
             "SELECT MAX(CASE WHEN verdict = ? THEN k END),"
@@ -656,32 +593,19 @@ class ResultStore:
         if method not in MONOTONE_METHODS:
             return None
         with self._lock:
-            return self._implied_locked(fingerprint, method, k)
-
-    def _implied_locked(self, fingerprint: str, method: str, k: int) -> StoredResult | None:
-        lo, hi = self.bounds(fingerprint, method)
-        if hi is not None and k >= hi:
-            witness = self._conn.execute(
-                "SELECT rowid, decomposition FROM results "
-                "WHERE fingerprint = ? AND method = ? AND k = ? AND verdict = ? "
-                "LIMIT 1",
-                (fingerprint, method, hi, YES),
-            ).fetchone()
-            decomposition = witness[1] if witness is not None else None
-            if witness is not None:
-                self._touch(witness[0])
-            return StoredResult(YES, 0.0, decomposition, implied=True)
-        if k < lo:
-            witness = self._conn.execute(
-                "SELECT rowid FROM results "
-                "WHERE fingerprint = ? AND method = ? AND k = ? AND verdict = ? "
-                "LIMIT 1",
-                (fingerprint, method, lo - 1, NO),
-            ).fetchone()
-            if witness is not None:
-                self._touch(witness[0])
-            return StoredResult(NO, 0.0, implied=True)
-        return self._cross_implied(fingerprint, method, k)
+            lo, hi = self.bounds(fingerprint, method)
+            if hi is not None and k >= hi:
+                witness = self._conn.execute(
+                    "SELECT decomposition FROM results "
+                    "WHERE fingerprint = ? AND method = ? AND k = ? AND verdict = ? "
+                    "LIMIT 1",
+                    (fingerprint, method, hi, YES),
+                ).fetchone()
+                decomposition = witness[0] if witness is not None else None
+                return StoredResult(YES, 0.0, decomposition, implied=True)
+            if k < lo:
+                return StoredResult(NO, 0.0, implied=True)
+            return self._cross_implied(fingerprint, method, k)
 
     def _cross_implied(self, fingerprint: str, method: str, k: int) -> StoredResult | None:
         """A verdict implied by *other* methods' rows via the width relations."""
@@ -727,24 +651,13 @@ class ResultStore:
             return None
         marks = ",".join("?" for _ in donors)
         row = self._conn.execute(
-            f"SELECT rowid, decomposition FROM results "
+            f"SELECT decomposition FROM results "
             f"WHERE fingerprint = ? AND method IN ({marks}) AND k <= ? "
             f"AND verdict = ? AND decomposition IS NOT NULL "
             f"ORDER BY k ASC LIMIT 1",
             (fingerprint, *donors, k, YES),
         ).fetchone()
-        if row is None:
-            return None
-        self._touch(row[0])
-        return row[1]
-
-    def _touch(self, rowid: int) -> None:
-        """Refresh a witness row's LRU clock so implied answers keep it warm."""
-        self._conn.execute(
-            "UPDATE results SET last_used = ?, use_count = use_count + 1 "
-            "WHERE rowid = ?",
-            (time.time(), rowid),
-        )
+        return row[0] if row is not None else None
 
     def bounds_rows(self) -> list[tuple[str, str, int, int | None]]:
         """The whole bounds index as ``(fingerprint, method, lo, hi)`` rows."""
@@ -784,8 +697,7 @@ class ResultStore:
         the bounds and kind_bounds indices for every touched fingerprint,
         all in one transaction.
 
-        Timestamps and use counts are preserved, so LRU ordering survives a
-        migration to a sharded layout.
+        ``created_at``/``last_used``/``use_count`` are carried as stored.
         """
         if not rows:
             return
@@ -805,14 +717,13 @@ class ResultStore:
                 self._recompute_kind_bounds(fp)
 
     def adopt_meta(self, hits: int = 0, misses: int = 0, implied: int = 0) -> None:
-        """Carry lifetime counters over from a store being migrated away."""
+        """Carry lifetime counters over from a store being migrated away.
+
+        Only ``meta`` changes: migrated counts are not this process's
+        lookups, so the session counters and metrics stay as they are.
+        """
         with self._lock:
-            if hits:
-                self._bump_meta("hits", hits)
-            if misses:
-                self._bump_meta("misses", misses)
-            if implied:
-                self._bump_meta("implied", implied)
+            self._add_meta(hits=hits, misses=misses, implied=implied)
 
     # ------------------------------------------------------------ accounting
 
@@ -820,34 +731,33 @@ class ResultStore:
         with self._lock:
             return self._conn.execute("SELECT COUNT(*) FROM results").fetchone()[0]
 
-    def record_hits(self, count: int, implied: int = 0) -> None:
-        """Book ``count`` cache hits observed via non-recording peeks.
+    def record(self, hits: int = 0, misses: int = 0, implied: int = 0) -> None:
+        """Book lookups made with :meth:`get` once the caller knows what
+        they meant; ``implied`` says how many of the ``hits`` the bounds
+        index answered.
 
-        ``implied`` says how many of them the bounds index answered.
+        Books the session counters, the ``repro_store_*`` metrics and the
+        lifetime counters in ``meta`` (one statement).
         """
         with self._lock:
-            if count > 0:
-                self.session_hits += count
-                self._bump_meta("hits", count)
-            if implied > 0:
-                self.session_implied += implied
-                self._bump_meta("implied", implied)
-        _M_HITS.inc(max(0, count))
-        _M_IMPLIED.inc(max(0, implied))
+            self.session_hits += hits
+            self.session_misses += misses
+            self.session_implied += implied
+            self._add_meta(hits=hits, misses=misses, implied=implied)
+        _M_HITS.inc(hits)
+        _M_MISSES.inc(misses)
+        _M_IMPLIED.inc(implied)
 
-    def record_misses(self, count: int) -> None:
-        """Book ``count`` cache misses observed via non-recording peeks."""
-        with self._lock:
-            if count > 0:
-                self.session_misses += count
-                self._bump_meta("misses", count)
-        _M_MISSES.inc(max(0, count))
-
-    def _bump_meta(self, key: str, amount: int = 1) -> None:
+    def _add_meta(self, **amounts: int) -> None:
+        """Add the non-zero ``amounts`` to their lifetime counters in one upsert."""
+        rows = [(key, amount) for key, amount in amounts.items() if amount]
+        if not rows:
+            return
         self._conn.execute(
-            "INSERT INTO meta (key, value) VALUES (?, ?) "
-            "ON CONFLICT(key) DO UPDATE SET value = value + ?",
-            (key, amount, amount),
+            "INSERT INTO meta (key, value) VALUES "
+            + ", ".join("(?, ?)" for _ in rows)
+            + " ON CONFLICT(key) DO UPDATE SET value = value + excluded.value",
+            [value for row in rows for value in row],
         )
 
     def _meta(self, key: str) -> int:

@@ -2,7 +2,7 @@
 
 Every stats surface in the stack — :class:`~repro.engine.engine.EngineStats`,
 :class:`~repro.service.scheduler.ServiceStats`, the result store's
-hit/miss/evict accounting, and the kernel call counters shipped back from
+hit/miss/implied accounting, and the kernel call counters shipped back from
 worker processes — publishes into one process-global :data:`REGISTRY`, so
 ``GET /metrics`` renders a single coherent view of the process no matter how
 many engines, schedulers or stores it hosts.  (Per-instance snapshots stay

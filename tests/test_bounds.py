@@ -1,10 +1,10 @@
 """Tests for the store's bounds index and the cache-aware scheduling on top.
 
 Covers the monotonicity invariant (property-style over seeded random
-hypergraphs), implied answers, eviction/timeout-reuse consistency, the
-binary-searched ``exact_width``, batch pruning cross-checks against
-unpruned journals, the engine-backed fractional study, and the new CLI
-surfaces (``fractional``, ``cache bounds``).
+hypergraphs), implied answers, consistency under timeout reuse and row
+replacement, the binary-searched ``exact_width``, batch pruning
+cross-checks against unpruned journals, the engine-backed fractional study,
+and the new CLI surfaces (``fractional``, ``cache bounds``).
 """
 
 from __future__ import annotations
@@ -113,7 +113,7 @@ class TestBoundsIndex:
 
 
 class TestBoundsConsistencyRegressions:
-    """Satellite fix: get timeout-reuse and LRU eviction vs the index."""
+    """Timeout reuse in ``get`` and row replacement vs the index."""
 
     def test_timeout_reuse_get_leaves_bounds_intact(self, triangle):
         fp = fingerprint(triangle)
@@ -124,35 +124,14 @@ class TestBoundsConsistencyRegressions:
             assert stored is not None and stored.verdict == YES
             assert store.bounds(fp, "hd") == (1, 2)
 
-    def test_eviction_shrinks_bounds_to_surviving_rows(self, triangle):
-        fp = fingerprint(triangle)
-        with ResultStore(max_entries=2) as store:
-            store.put(fp, "hd", 1, None, CheckOutcome(NO, 0.1))
-            store.put(fp, "hd", 2, None, CheckOutcome(YES, 0.1, check_hd(triangle, 2)))
-            assert store.bounds(fp, "hd") == (2, 2)
-            store.get(fp, "hd", 2, None)  # refresh the yes row's LRU clock
-            store.put(fp, "hd", 5, None, CheckOutcome(YES, 0.1))
-            # the k=1 refutation was evicted: lo must fall back to 1, not
-            # silently keep claiming width >= 2
-            assert store.bounds(fp, "hd") == (1, 2)
-
-    def test_evicting_the_only_witness_drops_the_interval(self, triangle):
-        fp = fingerprint(triangle)
-        other = fingerprint(cycle_hypergraph(4))
-        with ResultStore(max_entries=1) as store:
-            store.put(fp, "hd", 2, None, CheckOutcome(YES, 0.1))
-            assert store.bounds(fp, "hd") == (1, 2)
-            store.put(other, "hd", 1, None, CheckOutcome(NO, 0.1))  # evicts fp row
-            assert store.bounds(fp, "hd") == (1, None)
-            assert store.get(fp, "hd", 3, None, record=False) is None
-
     def test_bounds_always_match_surviving_rows_under_churn(self):
-        """Randomised regression: after any put/get/evict interleaving the
-        index equals exactly what the surviving rows justify."""
+        """Randomised regression: after any put/get interleaving, with rows
+        replaced under one key, the index equals exactly what the stored
+        rows justify."""
         rng = random.Random(7)
         graphs = [random_hypergraph(seed) for seed in range(3)]
         prints = [fingerprint(h) for h in graphs]
-        with ResultStore(max_entries=4) as store:
+        with ResultStore() as store:
             for _ in range(60):
                 fp = rng.choice(prints)
                 k = rng.randint(1, MAX_K)
@@ -161,7 +140,7 @@ class TestBoundsConsistencyRegressions:
                     verdict = rng.choice([YES, NO, TIMEOUT])
                     store.put(fp, "hd", k, None, CheckOutcome(verdict, 0.01))
                 else:
-                    store.get(fp, "hd", k, None, record=False)
+                    store.get(fp, "hd", k, None)
                 for check_fp in prints:
                     rows = store._conn.execute(
                         "SELECT k, verdict FROM results "

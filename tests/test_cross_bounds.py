@@ -3,11 +3,11 @@
 Covers the :data:`repro.engine.store.WIDTH_RELATIONS` transforms
 (fhw ≤ ghw ≤ hw ≤ 3·ghw + 1), witness borrowing across methods, the
 witness-required suppression for ``fracimprove``, schema migration of
-PR 2-era cache files, eviction consistency of the ``kind_bounds`` table,
-the ``cache bounds --kind`` CLI filter, and the acceptance scenario: a warm
-sweep interleaving hw and ghw jobs on the same instances answers from the
-other method's rows (``EngineStats.implied`` hits) with verdicts identical
-to the frozen reference kernel.
+cache files written before the knowledge layer, clearing the
+``kind_bounds`` table, the ``cache bounds --kind`` CLI filter, and the
+acceptance scenario: a warm sweep interleaving hw and ghw jobs on the same
+instances answers from the other method's rows (``EngineStats.implied``
+hits) with verdicts identical to the frozen reference kernel.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ class TestWidthRelationRules:
             assert store.kind_bounds(FP, methods.FHW) == (1, 3)
             # every ghw method is implied-yes at k >= 3
             for name in ("balsep", "localbip", "globalbip", "hybrid", "portfolio"):
-                derived = store.get(FP, name, 3, None, record=False)
+                derived = store.get(FP, name, 3, None)
                 assert derived is not None and derived.verdict == YES
                 assert derived.implied
 
@@ -55,27 +55,27 @@ class TestWidthRelationRules:
             store.put(FP, "balsep", 2, None, CheckOutcome(NO, 0.1))
             assert store.kind_bounds(FP, methods.GHW) == (3, None)
             assert store.kind_bounds(FP, methods.HW) == (3, None)
-            derived = store.get(FP, "hd", 2, None, record=False)
+            derived = store.get(FP, "hd", 2, None)
             assert derived is not None and derived.verdict == NO and derived.implied
             # nothing implied at or above the open end
-            assert store.get(FP, "hd", 3, None, record=False) is None
+            assert store.get(FP, "hd", 3, None) is None
 
     def test_ghw_yes_caps_hw_at_three_k_plus_one(self):
         with ResultStore() as store:
             store.put(FP, "balsep", 2, None, CheckOutcome(YES, 0.1))
             assert store.kind_bounds(FP, methods.HW) == (1, 7)  # 3*2 + 1
-            derived = store.get(FP, "hd", 7, None, record=False)
+            derived = store.get(FP, "hd", 7, None)
             assert derived is not None and derived.verdict == YES and derived.implied
             # purely arithmetic: no HD witness exists for the derived yes
             assert derived.decomposition_json is None
-            assert store.get(FP, "hd", 6, None, record=False) is None
+            assert store.get(FP, "hd", 6, None) is None
 
     def test_hw_no_lifts_ghw_by_the_adler_bound(self):
         with ResultStore() as store:
             store.put(FP, "hd", 6, None, CheckOutcome(NO, 0.1))
             # hw >= 7 and hw <= 3*ghw + 1  =>  ghw >= 2
             assert store.kind_bounds(FP, methods.GHW) == (2, None)
-            derived = store.get(FP, "balsep", 1, None, record=False)
+            derived = store.get(FP, "balsep", 1, None)
             assert derived is not None and derived.verdict == NO and derived.implied
 
     def test_fhw_lower_bounds_lift_the_chain(self):
@@ -92,7 +92,7 @@ class TestWidthRelationRules:
         with ResultStore() as store:
             store.put(FP, "mystery", 2, None, CheckOutcome(YES, 0.1))
             assert store.kind_bounds_rows() == []
-            assert store.get(FP, "hd", 2, None, record=False) is None
+            assert store.get(FP, "hd", 2, None) is None
 
 
 # --------------------------------------------------------- witness borrowing
@@ -103,7 +103,7 @@ class TestWitnessBorrowing:
         fp = fingerprint(triangle)
         with ResultStore() as store:
             store.put(fp, "hd", 2, None, CheckOutcome(YES, 0.1, check_hd(triangle, 2)))
-            derived = store.get(fp, "balsep", 2, None, record=False)
+            derived = store.get(fp, "balsep", 2, None)
             assert derived is not None and derived.verdict == YES and derived.implied
             outcome = derived.outcome(triangle)
             assert outcome.decomposition is not None
@@ -116,10 +116,10 @@ class TestWitnessBorrowing:
             store.put(fp, "hd", 2, None, CheckOutcome(YES, 0.1, check_hd(triangle, 2)))
             # the verdict is certain (hw <= 2) but the Table 6 deliverable
             # is the FHD itself — fracimprove must execute, not replay
-            assert store.get(fp, "fracimprove", 2, None, record=False) is None
+            assert store.get(fp, "fracimprove", 2, None) is None
             # implied "no" is still fine: hd refutations close fracimprove keys
             store.put(fp, "hd", 1, None, CheckOutcome(NO, 0.1))
-            derived = store.get(fp, "fracimprove", 1, None, record=False)
+            derived = store.get(fp, "fracimprove", 1, None)
             assert derived is not None and derived.verdict == NO and derived.implied
 
     def test_effective_bounds_fold_in_the_kind_interval(self, triangle):
@@ -192,7 +192,7 @@ class TestSchemaMigration:
             # and the cross-method rows are derived from them
             assert store.kind_bounds(fp, methods.HW) == (2, 2)
             assert store.kind_bounds(fp, methods.GHW) == (2, 2)
-            derived = store.get(fp, "localbip", 2, None, record=False)
+            derived = store.get(fp, "localbip", 2, None)
             assert derived is not None and derived.verdict == YES and derived.implied
 
     def test_migration_runs_once(self, tmp_path, triangle):
@@ -204,16 +204,6 @@ class TestSchemaMigration:
         with ResultStore(path) as store:
             assert store._meta("schema_version") >= 2
             assert store.kind_bounds(fp, methods.GHW) == (2, 2)
-
-    def test_eviction_recomputes_kind_rows(self, triangle):
-        fp = fingerprint(triangle)
-        other = fingerprint(random_hypergraph(1))
-        with ResultStore(max_entries=1) as store:
-            store.put(fp, "hd", 2, None, CheckOutcome(YES, 0.1))
-            assert store.kind_bounds(fp, methods.GHW) == (1, 2)
-            store.put(other, "balsep", 1, None, CheckOutcome(NO, 0.1))  # evicts fp
-            assert store.kind_bounds(fp, methods.GHW) == (1, None)
-            assert store.kind_bounds(other, methods.HW) == (2, None)
 
     def test_clear_drops_kind_rows(self):
         with ResultStore() as store:

@@ -117,6 +117,11 @@ class TestResultStore:
             assert store.get(fp, "hd", 1, None) is None
             store.put(fp, "hd", 1, None, CheckOutcome(NO, 0.1))
             assert store.get(fp, "hd", 1, None) is not None
+            # a lookup books nothing; its caller books what it meant
+            stats = store.stats
+            assert (stats.hits, stats.misses) == (0, 0)
+            assert (stats.session_hits, stats.session_misses) == (0, 0)
+            store.record(hits=1, misses=1)
             stats = store.stats
             assert (stats.hits, stats.misses) == (1, 1)
             assert (stats.session_hits, stats.session_misses) == (1, 1)
@@ -135,13 +140,6 @@ class TestResultStore:
             store.put(fp, "hd", 2, 1.0, CheckOutcome(TIMEOUT, 1.0))
             assert store.get(fp, "hd", 2, 5.0) is None
             assert store.get(fp, "hd", 2, 1.0) is not None
-
-    def test_lru_eviction(self, triangle):
-        fp = fingerprint(triangle)
-        with ResultStore(max_entries=3) as store:
-            for k in range(1, 6):
-                store.put(fp, "hd", k, None, CheckOutcome(NO, 0.1))
-            assert len(store) == 3
 
     def test_clear_and_persistence(self, tmp_path, triangle):
         path = tmp_path / "results.db"
@@ -264,6 +262,8 @@ class TestEngine:
         second.decomposition.validate()
         assert engine.stats.cache_hits == 1
         assert engine.stats.executed == 1
+        # check() books its one lookup in the store too: a miss, then a hit
+        assert (engine.store.stats.hits, engine.store.stats.misses) == (1, 1)
 
     def test_renamed_instance_shares_results(self, triangle):
         engine = DecompositionEngine(store=ResultStore())

@@ -363,7 +363,8 @@ class TestStoreConcurrency:
 
         def work(i: int) -> None:
             store.put(f"fp{i % 4}", "hd", 2 + (i % 3), None, CheckOutcome("yes", 0.01))
-            store.get(f"fp{i % 4}", "hd", 2, None)
+            stored = store.get(f"fp{i % 4}", "hd", 2, None)
+            store.record(hits=int(stored is not None), misses=int(stored is None))
             store.bounds(f"fp{i % 4}", "hd")
 
         with ThreadPoolExecutor(max_workers=8) as pool:

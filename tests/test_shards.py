@@ -4,7 +4,7 @@ Routing determinism (every process agrees on each row's home shard),
 one-shard writes (a verdict is one transaction on its owner shard, and
 ``implied``/``kind_bounds`` answer from the owner alone), the aggregated
 accounting surfaces the CLI ``cache stats|clear|bounds`` commands sit on,
-LRU capping split across shards, and in-place migration of a pre-shard
+lookups that write nothing, and in-place migration of a pre-shard
 single-file cache."""
 
 from __future__ import annotations
@@ -16,7 +16,8 @@ from contextlib import closing
 import pytest
 
 from repro.cli import main
-from repro.decomp.driver import CheckOutcome
+from repro.decomp.detkdecomp import check_hd
+from repro.decomp.driver import NO, YES, CheckOutcome
 from repro.engine import (
     DecompositionEngine,
     JobSpec,
@@ -27,7 +28,7 @@ from repro.engine import (
 )
 from repro.engine.shards import shard_for
 from repro.errors import ReproError
-from tests.conftest import random_hypergraph
+from tests.conftest import clique_hypergraph, random_hypergraph
 from tests.test_cross_bounds import write_pr2_era_store
 
 
@@ -61,7 +62,7 @@ class TestRouting:
                 for index, shard in enumerate(store.shards):
                     # bounds=False asks for the literal row, which only
                     # the owner holds
-                    hit = shard.get(fp, "hd", 2, None, record=False, bounds=False)
+                    hit = shard.get(fp, "hd", 2, None, bounds=False)
                     assert (hit is not None) == (index == owner)
 
     def test_reopen_recovers_the_same_routing(self, tmp_path):
@@ -74,7 +75,7 @@ class TestRouting:
             assert isinstance(store, ShardedResultStore)
             assert store.n_shards == 3
             for fp in fps:
-                assert store.get(fp, "hd", 2, None, record=False).verdict == "no"
+                assert store.get(fp, "hd", 2, None).verdict == "no"
 
     def test_conflicting_shard_count_is_refused(self, tmp_path):
         with ShardedResultStore(tmp_path / "cache.d", shards=2):
@@ -134,7 +135,7 @@ class TestOneShardPerVerdict:
                 store.put(fp, "hd", 1, None, CheckOutcome("no", 0.1))
             monkeypatch.undo()
 
-            assert store.get(fp, "hd", 1, None, record=False, bounds=False) is None
+            assert store.get(fp, "hd", 1, None, bounds=False) is None
             assert len(store) == 1
             assert store.bounds(fp, "hd") == (1, 2)
             assert not store.shards[shard_for(fp, 4)]._conn.in_transaction
@@ -179,7 +180,67 @@ class TestOneShardPerVerdict:
         assert kind_lines == [[fp[:12] + "..", "hw", "2", "2"]]
 
 
-# -------------------------------------------------- accounting + eviction
+# ------------------------------------------------------ lookups are reads
+
+
+def _seed_k5(store):
+    """K5 has hw = ghw = 3: a refutation at 2 and an HD at 3 answer exact,
+    bounds-implied and cross-kind lookups."""
+    k5 = clique_hypergraph(5)
+    fp = fingerprint(k5)
+    store.put(fp, "hd", 2, None, CheckOutcome(NO, 0.1))
+    store.put(fp, "hd", 3, None, CheckOutcome(YES, 0.1, check_hd(k5, 3)))
+    return k5, fp
+
+
+class TestLookupsAreReads:
+    @pytest.mark.parametrize("layout", ["plain", "sharded"])
+    def test_a_lookup_writes_nothing(self, tmp_path, layout):
+        if layout == "plain":
+            store = ResultStore(tmp_path / "cache.db")
+            connections = [store._conn]
+        else:
+            store = ShardedResultStore(tmp_path / "cache.d", shards=2)
+            connections = [shard._conn for shard in store.shards]
+        with store:
+            _, fp = _seed_k5(store)
+            before = [conn.total_changes for conn in connections]
+            assert store.get(fp, "hd", 3, None).verdict == YES  # exact row
+            assert store.get(fp, "hd", 5, None).implied  # yes at 3 => yes at 5
+            assert store.get(fp, "hd", 1, None).implied  # no at 2 => no at 1
+            crossed = store.get(fp, "balsep", 3, None)  # hw <= 3 => ghw <= 3
+            assert crossed.implied and crossed.decomposition_json is not None
+            assert store.get(fp, "balsep", 2, None) is None
+            for other in _fingerprints(4):
+                assert store.get(other, "hd", 2, None) is None
+            assert [conn.total_changes for conn in connections] == before
+
+    @pytest.mark.parametrize(
+        "kind, method, k, implied",
+        [
+            ("check", "hd", 3, False),
+            ("check", "hd", 5, True),
+            ("check", "balsep", 3, True),
+            ("width", "hd", 4, True),  # k = 1 implied, k = 2 and 3 exact
+        ],
+        ids=["exact", "implied", "cross_kind", "width"],
+    )
+    def test_a_store_answer_is_one_write(self, tmp_path, kind, method, k, implied):
+        store = ResultStore(tmp_path / "cache.db")
+        k5, _ = _seed_k5(store)
+        statements: list[str] = []
+        store._conn.set_trace_callback(statements.append)
+        make = JobSpec.check if kind == "check" else JobSpec.width
+        with DecompositionEngine(store=store) as engine:
+            result = engine.try_replay(make(k5, k, method))
+            assert result is not None and result.cached
+            assert result.implied == implied
+            writes = [s for s in statements if not s.lstrip().upper().startswith("SELECT")]
+            assert len(writes) == 1 and writes[0].startswith("INSERT INTO meta"), writes
+            assert engine.stats.cache_hits == store.stats.session_hits > 0
+
+
+# ------------------------------------------------------------- accounting
 
 
 class TestAccountingAndEviction:
@@ -197,19 +258,13 @@ class TestAccountingAndEviction:
         assert rerun.executed == 0
         assert rerun.cache_hits == len(specs)
 
-    def test_lru_cap_is_split_across_shards(self):
-        store = ShardedResultStore(shards=4, max_entries=8)
-        for fp in _fingerprints(40):
-            store.put(fp, "hd", 2, None, CheckOutcome("yes", 0.1))
-        assert len(store) <= 8 + 4  # per-shard ceil split: total <= cap + n
-        assert all(len(shard) <= 2 for shard in store.shards)
-
     def test_cli_cache_stats_aggregates_shards(self, tmp_path, capsys):
         cache_dir = tmp_path / "cache.d"
         with ShardedResultStore(cache_dir, shards=4) as store:
             for fp in _fingerprints(10):
                 store.put(fp, "hd", 2, None, CheckOutcome("yes", 0.1))
-                store.get(fp, "hd", 2, None)  # one recorded hit each
+            for index, hits in enumerate((4, 3, 2, 1)):
+                store.shards[index].record(hits=hits)  # lifetime hits on each
         assert main(["cache", "stats", "--cache", str(cache_dir)]) == 0
         out = capsys.readouterr().out
         assert "entries      10" in out
@@ -244,7 +299,7 @@ class TestSingleFileMigration:
         with ShardedResultStore(path, shards=2) as store:
             assert store.n_shards == 2
             assert len(store) == 3
-            hit = store.get(fp, "hd", 2, None, record=False)
+            hit = store.get(fp, "hd", 2, None)
             assert hit.verdict == "yes"
             assert hit.decomposition_json is not None
             assert store.bounds(fp, "hd") == (2, 2)
@@ -265,7 +320,7 @@ class TestSingleFileMigration:
         with ShardedResultStore(path, shards=2) as store:
             owner = shard_for(fp, 2)
             for index, shard in enumerate(store.shards):
-                held = shard.get(fp, "hd", 2, None, record=False, bounds=False)
+                held = shard.get(fp, "hd", 2, None, bounds=False)
                 assert (held is not None) == (index == owner)
 
     def test_lifetime_counters_survive_migration(self, tmp_path, triangle):
