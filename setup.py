@@ -23,7 +23,7 @@ setup(
     package_dir={"": "src"},
     packages=find_packages("src"),
     python_requires=">=3.10",
-    install_requires=["numpy", "scipy", "networkx"],
+    install_requires=["networkx"],
     entry_points={"console_scripts": ["repro = repro.cli:main"]},
     classifiers=[
         "Development Status :: 4 - Beta",

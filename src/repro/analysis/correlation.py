@@ -4,15 +4,14 @@ The paper correlates nine per-instance metrics — vertices, edges, arity,
 degree, bip, 3-BMIP, 4-BMIP, VC-dimension and hypertree width — and finds
 that arity correlates with hw while the tractability parameters (degree,
 intersection sizes, VC-dim) have almost no impact on hw.  We compute the same
-Pearson matrix with numpy over the repository's entries (instances lacking a
-metric, e.g. an unresolved hw, are dropped pairwise).
+Pearson matrix over the repository's entries (instances lacking a metric, e.g.
+an unresolved hw, are dropped pairwise), with population standard deviations
+and ``math.fsum`` sums, which round the same on every Python version.
 """
 
 from __future__ import annotations
 
 import math
-
-import numpy as np
 
 from repro.benchmark.repository import HyperBenchRepository
 
@@ -47,7 +46,7 @@ def _metric_vector(entry) -> list[float | None]:
     ]
 
 
-def correlation_matrix(repository: HyperBenchRepository) -> np.ndarray:
+def correlation_matrix(repository: HyperBenchRepository) -> list[list[float]]:
     """The 9×9 Pearson correlation matrix over all repository entries.
 
     Requires :meth:`compute_all_statistics` to have run; hw values come from
@@ -56,7 +55,7 @@ def correlation_matrix(repository: HyperBenchRepository) -> np.ndarray:
     """
     rows = [_metric_vector(entry) for entry in repository]
     n = len(METRICS)
-    matrix = np.zeros((n, n))
+    matrix = [[0.0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
             xs, ys = [], []
@@ -66,14 +65,20 @@ def correlation_matrix(repository: HyperBenchRepository) -> np.ndarray:
                     ys.append(row[j])
             value = 0.0
             if len(xs) >= 2:
-                x = np.asarray(xs)
-                y = np.asarray(ys)
-                sx, sy = x.std(), y.std()
+                dx = _deviations(xs)
+                dy = _deviations(ys)
+                sx = math.sqrt(math.fsum(d * d for d in dx) / len(dx))
+                sy = math.sqrt(math.fsum(d * d for d in dy) / len(dy))
                 if sx > 0 and sy > 0:
-                    value = float(((x - x.mean()) * (y - y.mean())).mean() / (sx * sy))
+                    value = math.fsum(a * b for a, b in zip(dx, dy)) / len(dx) / (sx * sy)
             if i == j:
                 value = 1.0
             if math.isnan(value):  # pragma: no cover - guarded above
                 value = 0.0
-            matrix[i, j] = matrix[j, i] = value
+            matrix[i][j] = matrix[j][i] = value
     return matrix
+
+
+def _deviations(values: list[float]) -> list[float]:
+    mean = math.fsum(values) / len(values)
+    return [v - mean for v in values]

@@ -6,9 +6,16 @@ the covering LP
     minimise   Σ_e γ(e)
     subject to Σ_{e ∋ v} γ(e) ≥ 1   for every v ∈ X,  γ ≥ 0,
 
-solved here with :func:`scipy.optimize.linprog` (HiGHS).  ``ImproveHD`` and
-``FracImproveHD`` (Section 6.5) call this once per bag; the width of an FHD is
-the maximum bag weight.
+solved here by :func:`covering_lp`: a small primal simplex on its packing dual
+
+    maximise   Σ_v y(v)
+    subject to Σ_{v ∈ e} y(v) ≤ 1   for every edge e,  y ≥ 0,
+
+whose origin is feasible, so no phase 1 is needed.  At the optimum the
+reduced cost of edge e's slack is γ(e), an optimal cover, and the basic y
+values are a packing of equal weight, which certifies the optimum by weak
+duality.  ``ImproveHD`` and ``FracImproveHD`` (Section 6.5) call this once per
+bag; the width of an FHD is the maximum bag weight.
 
 Integral covers (the λ-labels of HDs/GHDs) are handled by a small greedy +
 exact search used by validators and by the relational engine's cost model.
@@ -17,10 +24,7 @@ exact search used by validators and by the relational engine's cost model.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterable, Mapping
-
-import numpy as np
-from scipy.optimize import linprog
+from collections.abc import Iterable, Mapping, Sequence
 
 from repro.core.bitset import FamilyIndex
 from repro.errors import HypergraphError
@@ -28,6 +32,7 @@ from repro.perf import counters
 
 __all__ = [
     "FractionalCover",
+    "covering_lp",
     "fractional_cover",
     "fractional_cover_number",
     "covered_vertices",
@@ -37,9 +42,14 @@ __all__ = [
 
 EdgeFamily = Mapping[str, frozenset[str]]
 
-#: Weights below this threshold are dropped from reported covers; LP solvers
-#: return values like 1e-12 for variables that are structurally zero.
+#: Weights below this threshold are dropped from reported covers; the
+#: simplex's float pivots can leave round-off such as 1e-17 (or its negative)
+#: on edges that carry no weight.
 _WEIGHT_EPSILON = 1e-9
+
+#: Pivot tolerance of :func:`covering_lp`.  Tableau entries are rationals with
+#: small denominators, so anything closer to zero than this is round-off.
+_PIVOT_EPSILON = 1e-12
 
 
 class FractionalCover:
@@ -98,35 +108,81 @@ def fractional_cover(
     if allowed is None:
         candidates = [name for name, e in family.items() if e & bag_set]
     else:
-        candidates = [name for name in allowed if family[name] & bag_set]
+        # One LP column per edge: a name listed twice is still one edge.
+        candidates = [
+            name for name in dict.fromkeys(allowed) if family[name] & bag_set
+        ]
 
-    uncoverable = bag_set - frozenset().union(*(family[n] for n in candidates)) \
-        if candidates else bag_set
+    vertices = sorted(bag_set)
+    rows = [
+        [j for j, name in enumerate(candidates) if v in family[name]]
+        for v in vertices
+    ]
+    uncoverable = [v for v, edges in zip(vertices, rows) if not edges]
     if uncoverable:
         raise HypergraphError(
-            f"vertices {sorted(uncoverable)} occur in no allowed edge; "
+            f"vertices {uncoverable} occur in no allowed edge; "
             "the covering LP is infeasible"
         )
+    _value, cover, _packing = covering_lp(rows, len(candidates))
+    return FractionalCover(dict(zip(candidates, cover)))
 
-    vertex_index = {v: i for i, v in enumerate(sorted(bag_set))}
-    n_vars = len(candidates)
-    n_rows = len(vertex_index)
-    # linprog minimises c @ x subject to A_ub @ x <= b_ub; covering constraints
-    # Σ γ(e) >= 1 become -Σ γ(e) <= -1.
-    matrix = np.zeros((n_rows, n_vars))
-    for j, name in enumerate(candidates):
-        for v in family[name] & bag_set:
-            matrix[vertex_index[v], j] = -1.0
-    result = linprog(
-        c=np.ones(n_vars),
-        A_ub=matrix,
-        b_ub=-np.ones(n_rows),
-        bounds=[(0, None)] * n_vars,
-        method="highs",
-    )
-    if not result.success:  # pragma: no cover - guarded by feasibility check
-        raise HypergraphError(f"covering LP failed: {result.message}")
-    return FractionalCover(dict(zip(candidates, result.x)))
+
+def covering_lp(
+    rows: Sequence[Sequence[int]], n: int
+) -> tuple[float, list[float], list[float]]:
+    """Solve ``min Σ x  s.t.  Σ_{e ∈ rows[i]} x[e] ≥ 1 for every i,  x ≥ 0``.
+
+    ``rows[i]`` lists the indices (below ``n``) of the edges that contain bag
+    vertex ``i``.  The primal simplex runs on the packing dual ``max Σ y``
+    subject to ``Σ_{i : e ∈ rows[i]} y[i] ≤ 1`` for every edge ``e`` and
+    ``y ≥ 0``: one tableau row per edge, one slack per row, starting from the
+    feasible origin.  Bland's rule picks the entering and leaving variables,
+    so the degenerate pivots these 0/1 LPs often take cannot cycle.
+
+    Returns ``(value, cover, packing)``: the optimum, the cover ``x`` (length
+    ``n``, read off the reduced costs of the slacks) and the packing ``y``
+    (length ``len(rows)``, the basic values).  Both are feasible and weigh
+    ``value``, which is the optimality certificate.
+    """
+    if not all(rows):
+        raise ValueError("every vertex needs an edge: the covering LP is infeasible")
+    m = len(rows)
+    width = m + n  # columns y[0..m), then the slacks; the last entry is the rhs
+    table = [[0.0] * width + [1.0] for _ in range(n)]
+    for i, edges in enumerate(rows):
+        for e in edges:
+            table[e][i] = 1.0
+    for e, row in enumerate(table):
+        row[m + e] = 1.0
+    basis = list(range(m, width))
+    objective = [-1.0] * m + [0.0] * (n + 1)  # reduced costs; rhs = Σ y
+    while True:
+        col = next((j for j in range(width) if objective[j] < -_PIVOT_EPSILON), None)
+        if col is None:
+            break
+        pivot, best = -1, 0.0
+        for r, row in enumerate(table):
+            if row[col] > _PIVOT_EPSILON:
+                ratio = row[-1] / row[col]
+                if pivot < 0 or ratio < best - _PIVOT_EPSILON or (
+                    ratio <= best + _PIVOT_EPSILON and basis[r] < basis[pivot]
+                ):
+                    pivot, best = r, ratio
+        scale = table[pivot][col]
+        prow = table[pivot] = [a / scale for a in table[pivot]]
+        for r, row in enumerate(table):
+            f = row[col]
+            if r != pivot and f != 0.0:
+                table[r] = [a - f * b for a, b in zip(row, prow)]
+        f = objective[col]
+        objective = [a - f * b for a, b in zip(objective, prow)]
+        basis[pivot] = col
+    packing = [0.0] * m
+    for r, j in enumerate(basis):
+        if j < m:
+            packing[j] = table[r][-1]
+    return objective[-1], objective[m:width], packing
 
 
 def fractional_cover_number(family: EdgeFamily, bag: Iterable[str]) -> float:

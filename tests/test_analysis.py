@@ -108,15 +108,19 @@ class TestCorrelation:
         small_repo.compute_all_statistics()
         run_hw_analysis(small_repo, max_k=4, timeout=10.0)
         matrix = correlation_matrix(small_repo)
-        assert matrix.shape == (len(METRICS), len(METRICS))
-        assert all(matrix[i, i] == 1.0 for i in range(len(METRICS)))
+        assert len(matrix) == len(METRICS)
+        assert all(len(row) == len(METRICS) for row in matrix)
+        assert all(matrix[i][i] == 1.0 for i in range(len(METRICS)))
 
     def test_symmetric_and_bounded(self, small_repo):
         small_repo.compute_all_statistics()
         run_hw_analysis(small_repo, max_k=4, timeout=10.0)
         matrix = correlation_matrix(small_repo)
-        assert (abs(matrix - matrix.T) < 1e-12).all()
-        assert (matrix <= 1.0 + 1e-9).all() and (matrix >= -1.0 - 1e-9).all()
+        n = len(METRICS)
+        assert all(
+            abs(matrix[i][j] - matrix[j][i]) < 1e-12 for i in range(n) for j in range(n)
+        )
+        assert all(-1.0 - 1e-9 <= v <= 1.0 + 1e-9 for row in matrix for v in row)
 
     def test_constant_column_gives_zero(self):
         repo = HyperBenchRepository()
@@ -127,4 +131,4 @@ class TestCorrelation:
         matrix = correlation_matrix(repo)
         hw_index = METRICS.index("HW")  # hw constant = 2 across entries
         vertices_index = METRICS.index("vertices")
-        assert matrix[hw_index, vertices_index] == 0.0
+        assert matrix[hw_index][vertices_index] == 0.0

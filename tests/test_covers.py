@@ -1,9 +1,12 @@
 """Unit tests for integral and fractional edge covers."""
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from repro.core.covers import (
     covered_vertices,
+    covering_lp,
     fractional_cover,
     fractional_cover_number,
     is_integral_cover,
@@ -41,10 +44,68 @@ class TestFractionalCover:
         with pytest.raises(HypergraphError):
             fractional_cover(triangle.edges, ["x", "y", "z"], allowed=["r"])
 
+    def test_allowed_duplicate_is_one_edge(self, triangle):
+        cover = fractional_cover(triangle.edges, ["x", "y"], allowed=["r", "r"])
+        assert cover.weights == {"r": pytest.approx(1.0, abs=1e-9)}
+
+    def test_allowed_duplicate_keeps_the_optimum(self, triangle):
+        cover = fractional_cover(
+            triangle.edges, triangle.vertices, allowed=["r", "r", "s", "t"]
+        )
+        assert cover.weight == pytest.approx(1.5, abs=1e-9)
+
     def test_k5_fractional_cover(self, k5):
         # K5: fractional vertex cover by edges = 5/2 edges of weight 1/... the
         # optimum is 2.5 (each vertex in 4 edges; LP optimum n/2).
         assert fractional_cover_number(k5.edges, k5.vertices) == pytest.approx(2.5, abs=1e-6)
+
+    def test_degenerate_hub_is_exact(self):
+        # The hub h lies in every edge, so h is over-covered and its packing
+        # value is 0 at every optimum, and r2/s2 duplicate r/s, which ties
+        # the ratio tests: the pivots are degenerate, and Bland's rule must
+        # not cycle through them.
+        family = {
+            "r": frozenset("hxy"),
+            "s": frozenset("hyz"),
+            "t": frozenset("hzx"),
+            "r2": frozenset("hxy"),
+            "s2": frozenset("hyz"),
+        }
+        cover = fractional_cover(family, "hxyz")
+        assert cover.weight == 1.5
+        assert covered_vertices(family, cover.weights, tolerance=0.0) == set("hxyz")
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_cover_and_packing_certify_the_optimum(self, data):
+        vertices = [f"v{i}" for i in range(data.draw(st.integers(1, 7)))]
+        edges = data.draw(
+            st.lists(
+                st.frozensets(st.sampled_from(vertices), min_size=1),
+                min_size=1,
+                max_size=16,
+            )
+        )
+        family = {f"e{j}": e for j, e in enumerate(edges)}
+        reachable = sorted(frozenset().union(*edges))
+        bag = sorted(data.draw(st.frozensets(st.sampled_from(reachable), min_size=1)))
+        cover = fractional_cover(family, bag)
+        # The cover is feasible: every bag vertex gets at least 1.
+        assert covered_vertices(family, cover.weights, tolerance=1e-9) >= set(bag)
+        # The packing is feasible: non-negative, and no edge gets more than 1.
+        names = list(family)
+        rows = [[j for j, name in enumerate(names) if v in family[name]] for v in bag]
+        value, _cover, packing = covering_lp(rows, len(names))
+        assert all(y >= -1e-9 for y in packing)
+        for name in names:
+            assert sum(y for v, y in zip(bag, packing) if v in family[name]) <= 1 + 1e-9
+        # Equal objectives: by weak duality both are optimal.
+        assert cover.weight == pytest.approx(sum(packing), abs=1e-9)
+        assert value == pytest.approx(sum(packing), abs=1e-9)
+
+    def test_vertex_in_no_edge_is_rejected(self):
+        with pytest.raises(ValueError):
+            covering_lp([[0], []], 1)
 
     def test_covered_vertices(self, triangle):
         covered = covered_vertices(triangle.edges, {"r": 0.5, "s": 0.5, "t": 0.5})

@@ -181,7 +181,7 @@ class TestPaperShapes:
 
     def test_figure5_intersection_metrics_correlate(self, study):
         matrix = correlation_matrix(study.repository)
-        assert matrix[METRICS.index("bip"), METRICS.index("3-BMIP")] >= 0.5
+        assert matrix[METRICS.index("bip")][METRICS.index("3-BMIP")] >= 0.5
 
     def test_table3_balsep_refutes_most(self, study):
         refuted = {
