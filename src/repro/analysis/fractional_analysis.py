@@ -33,6 +33,7 @@ from repro.benchmark.repository import BenchmarkEntry, HyperBenchRepository
 from repro.decomp.driver import NO, TIMEOUT, YES, CheckOutcome
 from repro.decomp.fractional import (
     DEFAULT_PRECISION,
+    FRACTIONAL_TOLERANCE,
     best_fractional_improvement,
     improve_hd,
 )
@@ -58,12 +59,18 @@ FRAC_METHOD = "fracimprove"
 
 
 def bucket(improvement: float) -> str:
-    """Map an improvement ``c = k − width`` to the paper's column label."""
-    if improvement >= 1.0:
+    """Map an improvement ``c = k − width`` to the paper's column label.
+
+    Each edge is compared with :data:`FRACTIONAL_TOLERANCE` of slack, the
+    slack FracImproveHD's own ``weight <= k' + tol`` test grants, so a width
+    an ulp above ``k − edge`` (``2 − 1.5000000000000002``) still lands on
+    the edge's side.
+    """
+    if improvement >= 1.0 - FRACTIONAL_TOLERANCE:
         return ">=1"
-    if improvement >= 0.5:
+    if improvement >= 0.5 - FRACTIONAL_TOLERANCE:
         return "[0.5,1)"
-    if improvement >= 0.1:
+    if improvement >= 0.1 - FRACTIONAL_TOLERANCE:
         return "[0.1,0.5)"
     return "no"
 

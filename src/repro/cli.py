@@ -287,7 +287,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     worker.add_argument(
         "--poll", type=float, default=0.2, metavar="SECONDS",
-        help="idle sleep between empty lease attempts",
+        help="longest idle sleep between empty lease attempts (idle sleeps "
+        "start at a few ms and double up to this)",
     )
     worker.add_argument(
         "--max-idle", type=float, default=None, metavar="SECONDS",

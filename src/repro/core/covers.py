@@ -24,6 +24,7 @@ exact search used by validators and by the relational engine's cost model.
 from __future__ import annotations
 
 import itertools
+import math
 from collections.abc import Iterable, Mapping, Sequence
 
 from repro.core.bitset import FamilyIndex
@@ -61,7 +62,8 @@ class FractionalCover:
         self.weights = {
             name: float(w) for name, w in weights.items() if w > _WEIGHT_EPSILON
         }
-        self.weight = float(sum(self.weights.values()))
+        # correctly rounded on every Python version, like DecompositionNode.weight
+        self.weight = math.fsum(self.weights.values())
 
     def __repr__(self) -> str:
         return f"FractionalCover(weight={self.weight:.4f}, support={len(self.weights)})"

@@ -19,6 +19,7 @@ must validate.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator, Mapping
 
 from repro.core.hypergraph import Hypergraph
@@ -55,8 +56,13 @@ class DecompositionNode:
 
     @property
     def weight(self) -> float:
-        """The cover weight at this node (its contribution to the width)."""
-        return sum(self.cover.values())
+        """The cover weight at this node (its contribution to the width).
+
+        Summed with :func:`math.fsum`, so the width is the correctly rounded
+        sum of the weights on every Python version (the builtin ``sum``
+        compensates its rounding only from 3.12 on).
+        """
+        return math.fsum(self.cover.values())
 
     def lambda_label(self) -> frozenset[str]:
         """Edge names with positive weight (the λ/γ support)."""

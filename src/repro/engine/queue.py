@@ -29,7 +29,8 @@ when its per-job attempt budget is spent.
 Completion is fenced: :meth:`complete` and :meth:`fail` only apply while the
 caller still holds the live lease, so a worker that lost its lease to the
 sweeper cannot overwrite the re-execution's result — re-leased jobs finish
-exactly once in the queue no matter how many zombies report late.
+exactly once in the queue no matter how many zombies report late.  A worker
+completes a whole wave in one transaction, fenced row by row.
 
 Concurrency mirrors :class:`~repro.engine.store.ResultStore`: every public
 method serialises on an internal RLock, file-backed queues run in WAL mode
@@ -213,8 +214,8 @@ class JobQueue:
     >>> lease = queue.lease("w1", 1)[0]
     >>> queue.lease("w2", 1)                         # no double-lease
     []
-    >>> queue.complete("w1", lease.job_id, {"verdict": "yes"})
-    True
+    >>> queue.complete("w1", {lease.job_id: {"verdict": "yes"}})
+    [1]
     >>> queue.stats()["done"]
     1
 
@@ -413,31 +414,36 @@ class JobQueue:
             )
             return cursor.rowcount
 
-    def complete(self, worker_id: str, job_id: int, result: dict) -> bool:
-        """Record a finished job; only the live lease holder may.
+    def complete(self, worker_id: str, results: dict[int, dict]) -> list[int]:
+        """Record a wave's finished jobs, ``{job_id: result}``, in one
+        transaction; only the live lease holder of each job may.
 
-        Returns ``False`` when the lease was already revoked (the sweeper
-        expired it, or another worker completed the re-lease) — the caller's
-        result is discarded so re-executed jobs finish exactly once here.
+        Returns the ids that completed.  A job missing from the list had its
+        lease revoked (the sweeper expired it, or another worker completed
+        the re-lease): its result is discarded, so re-executed jobs finish
+        exactly once here.
         """
+        done: list[int] = []
         with self._lock, self._txn():
-            cursor = self._conn.execute(
-                "UPDATE jobs SET state = ?, result = ?, error = NULL,"
-                " updated_at = ? WHERE id = ? AND state = ? AND worker = ?",
-                (
-                    DONE,
-                    json.dumps(result, sort_keys=True),
-                    self.clock(),
-                    job_id,
-                    LEASED,
-                    worker_id,
-                ),
-            )
-            done = cursor.rowcount == 1
+            now = self.clock()
+            for job_id, result in results.items():
+                cursor = self._conn.execute(
+                    "UPDATE jobs SET state = ?, result = ?, error = NULL,"
+                    " updated_at = ? WHERE id = ? AND state = ? AND worker = ?",
+                    (
+                        DONE,
+                        json.dumps(result, sort_keys=True),
+                        now,
+                        job_id,
+                        LEASED,
+                        worker_id,
+                    ),
+                )
+                if cursor.rowcount == 1:
+                    done.append(job_id)
             if done:
-                self._bump("completed")
-        if done:
-            _M_COMPLETED.inc()
+                self._bump("completed", len(done))
+        _M_COMPLETED.inc(len(done))
         return done
 
     def fail(self, worker_id: str, job_id: int, error: str) -> bool:

@@ -8,11 +8,14 @@ rebuild their :class:`~repro.engine.jobs.JobSpec`\\ s, execute them through a
 local :class:`~repro.engine.engine.DecompositionEngine` — which means the
 existing packed wire protocol, kernel counters, ``worker.exec`` spans, and
 write-back through the (shared, possibly sharded) result store all apply
-unchanged — and report each job :meth:`~repro.engine.queue.JobQueue.complete`
-or :meth:`~repro.engine.queue.JobQueue.fail`.  A daemon heartbeat extends the
-wave's leases at a third of the lease interval for as long as the wave
-executes, so slow jobs are not swept out from under a *live* worker; a
-SIGKILLed worker stops heartbeating and its leases simply expire.
+unchanged — and report the wave in one
+:meth:`~repro.engine.queue.JobQueue.complete` transaction, or
+:meth:`~repro.engine.queue.JobQueue.fail` each job when the wave raised.
+One daemon heartbeat thread per worker extends the leases of the wave in
+flight at a third of the lease interval, so slow jobs are not swept out from
+under a *live* worker; a SIGKILLed worker stops heartbeating and its leases
+simply expire.  An idle worker sleeps a few milliseconds after its first
+empty lease and doubles the sleep with each further one, up to its ``poll``.
 
 The **dispatcher** (:class:`Dispatcher`) is the batch owner's side: the
 queue executor behind the engine's one batch path.  The engine's wave
@@ -34,6 +37,7 @@ from __future__ import annotations
 import logging
 import os
 import socket
+import sqlite3
 import threading
 import time
 import uuid
@@ -68,42 +72,20 @@ def default_worker_id() -> str:
     return f"{socket.gethostname()}-{os.getpid()}-{uuid.uuid4().hex[:6]}"
 
 
-class _Heartbeat:
-    """Extends a wave's leases on a timer until stopped.
-
-    Runs as a daemon thread so a crashing worker process takes its
-    heartbeat with it — which is exactly what lets the sweeper reclaim the
-    leases.  The interval is a third of the lease duration: two beats may
-    be missed (scheduler stalls, GC pauses) before a lease can expire.
-    """
-
-    def __init__(self, queue: JobQueue, worker_id: str, job_ids: list[int], lease_seconds: float):
-        self.queue = queue
-        self.worker_id = worker_id
-        self.job_ids = job_ids
-        self.lease_seconds = lease_seconds
-        self._stop = threading.Event()
-        self._thread = threading.Thread(target=self._run, daemon=True)
-
-    def __enter__(self) -> "_Heartbeat":
-        self._thread.start()
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self._stop.set()
-        self._thread.join(timeout=self.lease_seconds)
-
-    def _run(self) -> None:
-        interval = max(0.05, self.lease_seconds / 3.0)
-        while not self._stop.wait(interval):
-            try:
-                self.queue.extend(self.worker_id, self.job_ids, self.lease_seconds)
-            except ReproError:  # pragma: no cover - queue closed under us
-                return
+#: The first idle sleep after an empty lease.  Each further empty lease
+#: doubles it, up to the worker's ``poll``; a granted lease restarts it.
+_FIRST_IDLE_SLEEP = 0.005
 
 
 class QueueWorker:
-    """One pull-loop worker: lease, execute, heartbeat, report.
+    """One pull-loop worker: lease, execute, report, heartbeat.
+
+    :meth:`run` starts one daemon heartbeat thread for its whole life.  Every
+    third of the lease interval it extends the leases of the wave in flight
+    (none between waves), so two beats may be missed (scheduler stalls, GC
+    pauses) before a lease can expire.  A SIGKILLed worker takes its
+    heartbeat with it, which is exactly what lets the sweeper reclaim the
+    leases.  A wave's results are completed in one queue transaction.
 
     Parameters
     ----------
@@ -119,7 +101,10 @@ class QueueWorker:
     lease_seconds:
         Lease duration granted and heartbeat-extended while executing.
     poll:
-        Idle sleep between empty lease attempts.
+        The longest idle sleep between empty lease attempts.  The first
+        sleep is a few milliseconds and doubles with each further empty
+        lease, so a worker that just went idle picks up new work within
+        milliseconds, and one idle for a while polls once per ``poll``.
     """
 
     def __init__(
@@ -142,6 +127,8 @@ class QueueWorker:
         self.failed = 0
         self.lost = 0
         self._stopping = False
+        #: Job ids of the wave in flight, which the heartbeat extends.
+        self._held: list[int] = []
 
     def stop(self) -> None:
         """Ask the pull loop to exit after the current wave.
@@ -165,10 +152,28 @@ class QueueWorker:
         and smoke harnesses).  Both conditions are checked between waves —
         a wave in flight always finishes.
         """
+        finished = threading.Event()
+        heartbeat = threading.Thread(
+            target=self._heartbeat,
+            args=(finished,),
+            name=f"heartbeat-{self.worker_id}",
+            daemon=True,
+        )
+        heartbeat.start()
+        try:
+            self._pull(max_idle, max_waves)
+        finally:
+            # joined, so no extend reaches the queue after run returns
+            finished.set()
+            heartbeat.join()
+        return self.completed
+
+    def _pull(self, max_idle: float | None, max_waves: int | None) -> None:
         idle_since: float | None = None
+        sleep = 0.0
         while not self._stopping:
             if max_waves is not None and self.waves >= max_waves:
-                break
+                return
             with TRACER.span(
                 "worker.lease", worker=self.worker_id, want=self.lease_n
             ) as span:
@@ -176,19 +181,32 @@ class QueueWorker:
                     self.worker_id, self.lease_n, self.lease_seconds
                 )
                 span.set(granted=len(leases))
-            if not leases:
-                now = time.monotonic()
-                if idle_since is None:
-                    idle_since = now
-                elif max_idle is not None and now - idle_since >= max_idle:
-                    break
-                time.sleep(self.poll)
+            if leases:
+                idle_since, sleep = None, 0.0
+                self.waves += 1
+                _M_WAVES.inc()
+                self._execute_wave(leases)
                 continue
-            idle_since = None
-            self.waves += 1
-            _M_WAVES.inc()
-            self._execute_wave(leases)
-        return self.completed
+            now = time.monotonic()
+            if idle_since is None:
+                idle_since = now
+            elif max_idle is not None and now - idle_since >= max_idle:
+                return
+            sleep = min(self.poll, 2 * sleep or _FIRST_IDLE_SLEEP)
+            time.sleep(sleep)
+
+    def _heartbeat(self, finished: threading.Event) -> None:
+        interval = max(0.05, self.lease_seconds / 3.0)
+        while not finished.wait(interval):
+            held = self._held
+            if not held:
+                continue
+            try:
+                self.queue.extend(self.worker_id, held, self.lease_seconds)
+            except sqlite3.Error as exc:
+                # one missed beat is survivable; a dead heartbeat thread
+                # would let every later wave's leases expire
+                logger.warning("heartbeat of %s failed: %s", self.worker_id, exc)
 
     def _execute_wave(self, leases: list[JobLease]) -> None:
         specs: list[JobSpec] = []
@@ -204,27 +222,30 @@ class QueueWorker:
                 self.queue.fail(self.worker_id, lease.job_id, f"bad payload: {exc}")
         if not parsed:
             return
-        job_ids = [lease.job_id for lease in parsed]
+        self._held = [lease.job_id for lease in parsed]
         try:
-            with _Heartbeat(self.queue, self.worker_id, job_ids, self.lease_seconds):
-                report = self.engine.run_batch(specs)
+            report = self.engine.run_batch(specs)
         except Exception as exc:  # noqa: BLE001 - a wave must never kill the loop
             for lease in parsed:
                 if self.queue.fail(self.worker_id, lease.job_id, repr(exc)):
                     self.failed += 1
             return
-        for lease, result in zip(parsed, report.results):
-            if self.queue.complete(self.worker_id, lease.job_id, result.payload()):
-                self.completed += 1
-                _M_JOBS.inc()
-            else:
-                # The sweeper revoked this lease mid-execution (e.g. the wave
-                # outran even the heartbeats); the re-lease owns the outcome
-                # now.  The verdict itself is not lost — run_batch already
-                # wrote it to the shared store, so the re-execution replays
-                # it from cache.
-                self.lost += 1
-                _M_LOST.inc()
+        finally:
+            self._held = []
+        done = self.queue.complete(
+            self.worker_id,
+            {lease.job_id: result.payload() for lease, result in zip(parsed, report.results)},
+        )
+        self.completed += len(done)
+        _M_JOBS.inc(len(done))
+        # A job missing from `done` had its lease revoked by the sweeper
+        # mid-execution (e.g. the wave outran even the heartbeats); the
+        # re-lease owns the outcome now.  The verdict itself is not lost —
+        # run_batch already wrote it to the shared store, so the
+        # re-execution replays it from cache.
+        lost = len(parsed) - len(done)
+        self.lost += lost
+        _M_LOST.inc(lost)
 
 
 def run_worker(

@@ -80,6 +80,15 @@ class TestFractionalAnalysis:
         assert bucket(0.3) == "[0.1,0.5)"
         assert bucket(0.01) == "no"
 
+    def test_bucket_edges_take_the_lp_tolerance(self):
+        # a width one ulp above k - edge stays on the edge's side
+        assert bucket(2 - 1.5000000000000002) == "[0.5,1)"
+        assert bucket(2 - 1.9000000000000001) == "[0.1,0.5)"
+        assert bucket(2 - 1.0000000000000002) == ">=1"
+        # exact edges, and values clearly below them
+        assert [bucket(c) for c in (1.0, 0.5, 0.1)] == [">=1", "[0.5,1)", "[0.1,0.5)"]
+        assert [bucket(c) for c in (0.99, 0.49, 0.09)] == ["[0.5,1)", "[0.1,0.5)", "no"]
+
     def test_triangle_improves(self):
         repo = HyperBenchRepository()
         repo.add(

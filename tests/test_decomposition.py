@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.covers import FractionalCover
 from repro.core.decomposition import Decomposition, DecompositionNode
 from repro.core.hypergraph import Hypergraph
 from repro.errors import ValidationError
@@ -29,6 +30,13 @@ class TestBasics:
         h, d = make_path_td()
         with pytest.raises(ValueError):
             Decomposition(h, d.root, kind="XXX")
+
+    def test_cover_weight_is_the_correctly_rounded_sum(self):
+        # FracImproveHD's optimal cover of a csp_model_7_0000 bag at k = 2;
+        # the builtin sum reads 1.7999999999999998 before Python 3.12
+        weights = {"c0": 0.4, "c3": 0.4, "c4": 0.6, "c5": 0.2, "c9": 0.2}
+        assert DecompositionNode({"x"}, weights).weight == 1.8
+        assert FractionalCover(weights).weight == 1.8
 
     def test_lambda_label_ignores_zero_weights(self):
         node = DecompositionNode({"x"}, {"a": 1.0, "b": 0.0})

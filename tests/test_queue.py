@@ -95,11 +95,11 @@ class TestQueueLifecycle:
         # the sweeper revokes the lease before w1 reports
         fake_clock.advance(6)
         assert queue.requeue_expired() == 1
-        assert not queue.complete("w1", lease.job_id, {"verdict": "yes"})
+        assert not queue.complete("w1", {lease.job_id: {"verdict": "yes"}})
         # the re-lease's completion (after backoff) is the one that counts
         fake_clock.advance(1)
         release = queue.lease("w2", 1)[0]
-        assert queue.complete("w2", release.job_id, {"verdict": "yes"})
+        assert queue.complete("w2", {release.job_id: {"verdict": "yes"}})
         assert queue.job(lease.job_id)["state"] == DONE
         assert queue.stats()["counters"]["completed"] == 1
 
@@ -168,7 +168,7 @@ class TestQueueLifecycle:
         fake_clock.advance(2.0)
         assert queue.stats()["depth"] == 1
         again = queue.lease("w", 1)[0]
-        assert queue.complete("w", again.job_id, {"verdict": "yes"})
+        assert queue.complete("w", {again.job_id: {"verdict": "yes"}})
         assert queue.job(again.job_id)["error"] is None
 
     def test_resurrect_dead_restores_the_budget(self, triangle, fake_clock):
@@ -199,7 +199,7 @@ class TestQueueLifecycle:
         specs = [JobSpec.check(random_hypergraph(seed), 2) for seed in range(4)]
         ids = [queue.enqueue(s).job_id for s in specs]
         leases = queue.lease("w", 2)
-        queue.complete("w", leases[0].job_id, {"verdict": "yes"})
+        queue.complete("w", {leases[0].job_id: {"verdict": "yes"}})
         stats = queue.stats()
         assert stats["total"] == 4
         assert stats[DONE] == 1 and stats[LEASED] == 1 and stats[PENDING] == 2
@@ -289,7 +289,7 @@ def test_queue_invariants_hold_under_arbitrary_interleavings(ops):
                 held[arg].append((lease.job_id, lease.attempts))
         elif op == "complete":
             if held[arg]:
-                queue.complete(arg, held[arg].pop(0)[0], {"verdict": "yes"})
+                queue.complete(arg, {held[arg].pop(0)[0]: {"verdict": "yes"}})
         elif op == "fail":
             if held[arg]:
                 queue.fail(arg, held[arg].pop(0)[0], "injected")
@@ -307,7 +307,7 @@ def test_queue_invariants_hold_under_arbitrary_interleavings(ops):
         clock.advance(60.0)
         queue.requeue_expired()
         for lease in queue.lease("drain", 100):
-            queue.complete("drain", lease.job_id, {"verdict": "yes"})
+            queue.complete("drain", {lease.job_id: {"verdict": "yes"}})
     for job_id in enqueued:
         row = queue.job(job_id)
         assert row["state"] in (DONE, DEAD), row
@@ -555,6 +555,122 @@ class TestWorkerStop:
         threading.Thread(target=signal_inside_the_idle_wait, daemon=True).start()
         assert returned.wait(1.0), "stop() blocked on a lock its caller holds"
         assert worker.run() == 0  # a stopped worker leases nothing
+
+
+def _with_run_batch(engine: DecompositionEngine, before) -> DecompositionEngine:
+    """``engine`` whose ``run_batch`` calls ``before()`` first: a hook into
+    the middle of a worker's wave, while its leases are held."""
+    run_batch = engine.run_batch
+
+    def hooked(specs, *args, **kwargs):
+        before()
+        return run_batch(specs, *args, **kwargs)
+
+    engine.run_batch = hooked
+    return engine
+
+
+class TestWorkerLoop:
+    def test_heartbeat_keeps_a_wave_longer_than_its_lease_leased(self):
+        """A live worker's wave outlasts its lease twice over while a thread
+        sweeps expired leases: the heartbeat (every third of the lease)
+        keeps every job leased, and the worker completes them all."""
+        import time
+
+        lease_seconds = 0.9
+        queue = JobQueue(lease_seconds=lease_seconds)
+        specs = _enqueue_specs(queue, 3)
+        engine = _with_run_batch(DecompositionEngine(), lambda: time.sleep(2 * lease_seconds))
+        worker = QueueWorker(queue, engine, lease_n=len(specs), lease_seconds=lease_seconds)
+        stop = threading.Event()
+
+        def sweep() -> None:
+            while not stop.wait(0.01):
+                queue.requeue_expired()
+
+        sweeper = threading.Thread(target=sweep, daemon=True)
+        sweeper.start()
+        try:
+            assert worker.run(max_waves=1) == len(specs)
+        finally:
+            stop.set()
+            sweeper.join(timeout=10)
+        assert not sweeper.is_alive()
+        stats = queue.stats()
+        assert stats["counters"]["expired"] == 0
+        assert stats[DONE] == len(specs) and worker.lost == 0
+
+    def test_one_complete_fences_a_lease_revoked_mid_wave(self, fake_clock, monkeypatch):
+        """Two jobs leased in one wave; mid-wave the sweeper revokes one.  The
+        wave's single ``complete`` lands the live job and discards the
+        revoked one, which stays leasable for someone else."""
+        queue = JobQueue(clock=fake_clock, backoff=0.0)
+        specs = [JobSpec.check(random_hypergraph(seed), 2) for seed in range(2)]
+        live, revoked = (queue.enqueue(spec).job_id for spec in specs)
+
+        def revoke() -> None:
+            assert queue.extend("w", [live], lease_seconds=100) == 1
+            fake_clock.advance(31)
+            assert queue.requeue_expired() == 1
+
+        calls = []
+        complete = queue.complete
+        monkeypatch.setattr(queue, "complete", lambda *args: calls.append(args) or complete(*args))
+        engine = _with_run_batch(DecompositionEngine(), revoke)
+        worker = QueueWorker(queue, engine, worker_id="w", lease_n=2, lease_seconds=30)
+        assert worker.run(max_waves=1) == 1
+        assert [sorted(results) for _, results in calls] == [[live, revoked]]
+        assert worker.completed == 1 and worker.lost == 1
+        assert queue.stats()["counters"]["completed"] == 1
+        assert queue.job(live)["state"] == DONE
+        assert [lease.job_id for lease in queue.lease("other", 2)] == [revoked]
+
+    def test_waves_share_one_heartbeat_thread(self, monkeypatch):
+        started = []
+        start = threading.Thread.start
+
+        def counting_start(thread):
+            started.append(thread.name)
+            return start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counting_start)
+        queue = JobQueue()
+        _enqueue_specs(queue, 3)
+        worker = QueueWorker(queue, DecompositionEngine(), lease_n=1)
+        assert worker.run(max_waves=3) == 3
+        assert worker.waves == 3
+        assert started == [f"heartbeat-{worker.worker_id}"]
+
+    def test_idle_sleeps_back_off_and_restart_after_a_lease(self, monkeypatch):
+        """Idle sleeps start at a few ms, double up to ``poll`` and start
+        over after a granted lease; ``max_idle`` still ends the loop."""
+        from repro.engine import remote
+
+        queue = JobQueue()
+        spec = JobSpec.check(random_hypergraph(0), 2)
+        sleeps: list[float] = []
+
+        class FakeTime:
+            now = 0.0
+
+            def monotonic(self) -> float:
+                return self.now
+
+            def sleep(self, seconds: float) -> None:
+                sleeps.append(seconds)
+                self.now += seconds
+                if len(sleeps) == 8:
+                    queue.enqueue(spec)  # work arrives after 8 idle polls
+
+        monkeypatch.setattr(remote, "time", FakeTime())
+        worker = QueueWorker(queue, DecompositionEngine(), poll=0.2)
+        assert worker.run(max_idle=1.0) == 1
+        backoff = [0.005, 0.01, 0.02, 0.04, 0.08, 0.16, 0.2]
+        assert sleeps[:8] == [*backoff, 0.2]
+        after = sleeps[8:]
+        assert after[:7] == backoff and set(after[7:]) == {0.2}
+        # max_idle ends the loop once a second passes without a lease
+        assert sum(after[:-1]) < 1.0 <= sum(after)
 
 
 # ------------------------------------------ one batch path, three executors
