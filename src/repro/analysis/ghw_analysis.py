@@ -94,8 +94,9 @@ def run_ghw_analysis(
 
     ``run_batch`` executes each k's wave of races; the default is a fresh
     in-process engine with no store, which runs every algorithm in turn
-    with the full budget.  With ``jobs > 1`` an engine races the algorithms
-    in parallel worker processes and cancels the losers.  A race whose
+    with the full budget.  With ``jobs > 1`` an engine runs the algorithms
+    in parallel worker processes, each still with the full budget, so
+    Table 3 reads the same at any ``jobs``.  A race whose
     verdict a store's bounds index already implies is skipped entirely;
     such replays contribute to Table 4 but, carrying no per-algorithm
     timings for this k, add nothing to Table 3.
@@ -114,11 +115,7 @@ def run_ghw_analysis(
         )
         for entry, result in zip(candidates, report.results):
             for name, outcome in (result.per_algorithm or {}).items():
-                # Race-cancelled attempts say nothing about the algorithm
-                # itself (the paper's Table 3 gives every algorithm the full
-                # budget in standalone runs), so they are not recorded.
-                if not outcome.cancelled:
-                    analysis.algorithm_cell(name, k).record(outcome)
+                analysis.algorithm_cell(name, k).record(outcome)
             analysis.portfolio_cell(k).record(result)
             if result.verdict == YES:
                 entry.ghw_high = k - 1

@@ -3,8 +3,9 @@
 The paper's evaluation protocol (Sections 6.2 and 6.4) runs
 ``Check(decomposition, k)`` attempts under a wall-clock timeout, records
 yes / no / timeout verdicts, determines exact widths by iterating k, and — for
-Table 4 — runs all three GHD algorithms "in parallel", stopping at the first
-answer.  This module provides those building blocks in-process;
+Table 4 — runs all three GHD algorithms "in parallel", taking the first
+answer.  This module provides those building blocks in-process, including
+the one portfolio rule (:func:`portfolio_verdict`);
 :class:`repro.engine.DecompositionEngine` runs them (cached, or in killable
 workers) for the analysis layer's protocols.
 """
@@ -33,6 +34,7 @@ __all__ = [
     "exact_width",
     "WidthResult",
     "GHD_ALGORITHMS",
+    "portfolio_verdict",
     "ghd_portfolio",
 ]
 
@@ -48,11 +50,6 @@ CheckFunction = Callable[[Hypergraph, int, Deadline | None], "Decomposition | No
 class CheckOutcome:
     """Result of one timed ``Check(decomposition, k)`` attempt.
 
-    ``cancelled`` marks an attempt that was killed early because a portfolio
-    race was already won — its timeout verdict says nothing about what the
-    algorithm would have answered with the full budget, so per-algorithm
-    accounting (Table 3) must skip such outcomes.
-
     ``counters`` and ``spans`` carry the telemetry a worker process shipped
     back with this outcome: the :class:`~repro.perf.KernelCounters` delta
     accrued during the attempt and the finished span records of the worker's
@@ -63,7 +60,6 @@ class CheckOutcome:
     verdict: str  # YES, NO or TIMEOUT
     seconds: float
     decomposition: Decomposition | None = None
-    cancelled: bool = False
     counters: dict | None = field(default=None, compare=False, repr=False)
     spans: list | None = field(default=None, compare=False, repr=False)
 
@@ -178,6 +174,25 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
+def portfolio_verdict(
+    per_algorithm: dict[str, CheckOutcome],
+) -> tuple[CheckOutcome, str | None]:
+    """The portfolio rule (Table 4): returns ``(outcome, winner)``.
+
+    Every racer has run with the full budget (Section 6.4 gives each
+    algorithm the whole timeout), so the portfolio answers what "run all
+    three in parallel, first answer wins" observes: the definite answer
+    with the smallest ``seconds`` of its own, ties going to the earlier
+    racer in lineup order.  When no racer answered, the outcome is the
+    slowest racer's timeout and the winner ``None``.
+    """
+    answered = [name for name, o in per_algorithm.items() if o.answered]
+    if answered:
+        winner = min(answered, key=lambda name: per_algorithm[name].seconds)
+        return per_algorithm[winner], winner
+    return max(per_algorithm.values(), key=lambda o: o.seconds), None
+
+
 def ghd_portfolio(
     hypergraph: Hypergraph,
     k: int,
@@ -186,20 +201,14 @@ def ghd_portfolio(
     """The paper's portfolio (Table 4 protocol), simulated sequentially.
 
     Every registered portfolio algorithm runs in turn with the full timeout,
-    and the portfolio verdict is the fastest definite answer (which is what
-    "run in parallel and stop at the first answer" observes).  This is the
-    race a :class:`repro.engine.DecompositionEngine` runs for a portfolio
-    job when ``jobs == 1``; with ``jobs > 1`` it races the same algorithms
-    in parallel worker processes instead.  Returns ``(portfolio_outcome,
-    per_algorithm)``.
+    and :func:`portfolio_verdict` picks the verdict.  This is the race a
+    :class:`repro.engine.DecompositionEngine` runs for a portfolio job when
+    ``jobs == 1``; with ``jobs > 1`` it runs the same algorithms, each with
+    the same full budget, in parallel worker processes instead.  Returns
+    ``(portfolio_outcome, per_algorithm)``.
     """
     per_algorithm = {
         name: timed_check(fn, hypergraph, k, timeout)
         for name, fn in _portfolio_algorithms().items()
     }
-    answered = [o for o in per_algorithm.values() if o.answered]
-    if answered:
-        best = min(answered, key=lambda o: o.seconds)
-        return best, per_algorithm
-    slowest = max(per_algorithm.values(), key=lambda o: o.seconds)
-    return slowest, per_algorithm
+    return portfolio_verdict(per_algorithm)[0], per_algorithm

@@ -12,8 +12,10 @@ killable worker processes with hard timeouts when ``jobs > 1``.
 resumable journal, fanning cache-missed check jobs across the worker pool.
 A portfolio job races GlobalBIP / LocalBIP / BalSep — with ``jobs > 1`` in
 parallel worker processes (the paper's Table 4 setup: "run in parallel,
-stop at the first answer"), cancelling the losers — and its result carries
-each algorithm's outcome for Table 3.  That batch wave is the only one: a
+first answer wins") — and its result carries each algorithm's outcome for
+Table 3.  At any ``jobs`` every racer gets the full budget and
+:func:`~repro.decomp.driver.portfolio_verdict` picks the verdict, so the
+stored row does not depend on ``jobs``.  That batch wave is the only one: a
 :class:`~repro.engine.remote.Dispatcher` runs it with the job queue
 executing the cold jobs, and the paper's protocols (:mod:`repro.analysis`)
 run as waves of it.
@@ -422,44 +424,29 @@ class DecompositionEngine:
     ) -> tuple[CheckOutcome, str | None, dict[str, CheckOutcome]]:
         """Run the portfolio race (no lookup, no booking) and store it.
 
-        Returns the verdict, the winner it stores (``None`` when no racer
-        answered) and every racer's outcome."""
+        Every racer runs with the full budget — in worker processes when
+        ``jobs > 1``, in turn otherwise.  Returns the verdict, the winner it
+        stores (``None`` when no racer answered) and every racer's outcome."""
         portfolio_methods = _methods.portfolio_methods()
         if self.parallel:
-            winner_method, raced = workers.race_checks(
+            _, raced = workers.race_checks(
                 list(portfolio_methods.values()), hypergraph, k, timeout
             )
             per_algorithm = {
                 display: raced[registry]
                 for display, registry in portfolio_methods.items()
             }
-            if winner_method is not None:
-                winner = next(
-                    d for d, r in portfolio_methods.items() if r == winner_method
-                )
-                best = per_algorithm[winner]
-            else:
-                winner = None
-                best = max(per_algorithm.values(), key=lambda o: o.seconds)
         else:
-            best, per_algorithm = driver.ghd_portfolio(hypergraph, k, timeout)
-            winner = (
-                next((n for n, o in per_algorithm.items() if o is best), None)
-                if best.answered
-                else None
-            )
+            _, per_algorithm = driver.ghd_portfolio(hypergraph, k, timeout)
+        best, winner = driver.portfolio_verdict(per_algorithm)
 
         extra = {
             "winner": winner,
-            "per": {
-                name: [o.verdict, o.seconds, o.cancelled]
-                for name, o in per_algorithm.items()
-            },
+            "per": {name: [o.verdict, o.seconds] for name, o in per_algorithm.items()},
         }
         self._remember(fp, _PORTFOLIO_KEY, k, timeout, best, extra)
         # Definite per-algorithm answers are genuine results; share them with
-        # plain check() callers.  Cancelled losers (timeout verdicts observed
-        # before the full budget) are *not* cached.
+        # plain check() callers.
         for display, registry in portfolio_methods.items():
             o = per_algorithm[display]
             if o.answered:
@@ -567,7 +554,7 @@ class DecompositionEngine:
     ) -> Iterator[tuple[int, JobResult]]:
         """The in-process executor for :meth:`_wave`: cold single checks fan
         across the worker pool when ``jobs > 1``; width sweeps and portfolio
-        races take their own engine paths (a race uses the pool itself)."""
+        races take their own engine paths (a race starts its own workers)."""
         checks = [i for i in cold if specs[i].kind == CHECK]
         if self.parallel and len(checks) > 1:
             outcomes = workers.map_checks(
@@ -653,11 +640,14 @@ class DecompositionEngine:
             # for this k's (Table 3 honesty).
             extra = extra or {}
             winner = extra.get("winner")
+            # Rows stored before every racer got its full budget carry a
+            # third column, true for a racer killed once another had won;
+            # such a timeout says nothing about the algorithm, so Table 3
+            # leaves it out, as it did when the row was written.
             per_algorithm = {
-                name: CheckOutcome(
-                    row[0], row[1], cancelled=bool(row[2]) if len(row) > 2 else False
-                )
+                name: CheckOutcome(row[0], row[1])
                 for name, row in extra.get("per", {}).items()
+                if not any(row[2:])
             }
             if winner in per_algorithm and outcome.decomposition is not None:
                 per_algorithm[winner] = outcome

@@ -12,8 +12,8 @@ Three execution shapes are provided:
 * :func:`run_checked` — one attempt in one worker, killed at
   ``timeout + grace``;
 * :func:`race_checks` — the Table 4 portfolio: one worker per algorithm,
-  the first definite answer to arrive wins, losers still running are
-  cancelled;
+  each with the full budget, judged by
+  :func:`~repro.decomp.driver.portfolio_verdict`;
 * :func:`map_checks` — a task list streamed through at most ``jobs``
   concurrent workers, each with its own hard budget.
 
@@ -50,7 +50,13 @@ from multiprocessing.connection import Connection, wait as _wait_connections
 
 from repro.core.bitset import PackedHypergraph, pack_decomposition, unpack_decomposition
 from repro.core.hypergraph import Hypergraph
-from repro.decomp.driver import TIMEOUT, CheckFunction, CheckOutcome, timed_check
+from repro.decomp.driver import (
+    TIMEOUT,
+    CheckFunction,
+    CheckOutcome,
+    portfolio_verdict,
+    timed_check,
+)
 from repro.engine import methods as _methods
 from repro.obs.trace import TRACER, make_span
 from repro.perf import counters, publish_delta
@@ -231,19 +237,15 @@ def _check_pool(
     jobs: int,
     grace: float,
     traces: Sequence[tuple | None],
-    race: bool = False,
-) -> tuple[list[CheckOutcome], int | None]:
+) -> list[CheckOutcome]:
     """Stream ``(method, hypergraph, k, timeout)`` tasks through ≤ ``jobs`` workers.
 
-    Returns ``(outcomes in task order, winner index or None)``.  Every
-    method resolves before the first worker starts, so an unknown name
-    raises here with nothing left running.  Each distinct hypergraph is
-    packed once and shared by every task that checks it; ``traces[i]``
-    parents task ``i``'s ``worker.exec`` span.  A worker still running at
-    ``timeout + grace`` is killed and its task recorded as a timeout.  With
-    ``race``, the first definite answer to arrive wins and stops the pool:
-    workers still running are recorded as timeouts, ``cancelled`` at that
-    moment.
+    Returns the outcomes in task order.  Every method resolves before the
+    first worker starts, so an unknown name raises here with nothing left
+    running.  Each distinct hypergraph is packed once and shared by every
+    task that checks it; ``traces[i]`` parents task ``i``'s ``worker.exec``
+    span.  A worker still running at ``timeout + grace`` is killed and its
+    task recorded as a timeout.
 
     Workers start inside the ``try``, so a spawn that fails or a forwarded
     exception still reaps every worker already running.
@@ -255,7 +257,6 @@ def _check_pool(
             payloads[id(hypergraph)] = PackedHypergraph.pack(hypergraph)
     outcomes: list[CheckOutcome] = [None] * len(tasks)  # type: ignore[list-item]
     active: dict[Connection, tuple[int, multiprocessing.Process, float, float | None]] = {}
-    winner: int | None = None
     next_task = 0
     try:
         while next_task < len(tasks) or active:
@@ -277,28 +278,20 @@ def _check_pool(
                 index, process, started, _ = active[conn]  # type: ignore[index]
                 outcome = _receive(conn, now - started, tasks[index][1])  # type: ignore[arg-type]
                 outcomes[index] = outcome
-                if race and winner is None and outcome.answered:
-                    winner = index
                 del active[conn]  # type: ignore[arg-type]
                 conn.close()  # type: ignore[attr-defined]
                 _reap(process)
             for conn, (index, process, started, deadline) in list(active.items()):
-                if winner is not None or (deadline is not None and now >= deadline):
+                if deadline is not None and now >= deadline:
                     del active[conn]
-                    # Killed while the race was already won: cancelled, not
-                    # out of budget.
-                    outcomes[index] = CheckOutcome(
-                        TIMEOUT, now - started, cancelled=winner is not None
-                    )
+                    outcomes[index] = CheckOutcome(TIMEOUT, now - started)
                     conn.close()
                     _reap(process)
-            if winner is not None:
-                break
     finally:
         for conn, (_, process, _, _) in active.items():
             conn.close()
             _reap(process)
-    return outcomes, winner
+    return outcomes
 
 
 # -------------------------------------------------------------- check shapes
@@ -326,8 +319,7 @@ def run_checked(
     """
     if trace is None:
         trace = TRACER.current_context()
-    outcomes, _ = _check_pool([(method, hypergraph, k, timeout)], 1, grace, [trace])
-    return outcomes[0]
+    return _check_pool([(method, hypergraph, k, timeout)], 1, grace, [trace])[0]
 
 
 def race_checks(
@@ -338,21 +330,23 @@ def race_checks(
     grace: float = DEFAULT_GRACE,
     trace: tuple | None = None,
 ) -> tuple[str | None, dict[str, CheckOutcome]]:
-    """Race one worker per method; the first definite answer to arrive wins.
+    """Run one worker per method at once, each with the full budget.
 
-    Returns ``(winner, per_method)``.  ``winner`` is ``None`` when nobody
-    answered; then every racer ran its full budget and none is marked
-    cancelled.  Losers still running when the winner reports are cancelled
-    (killed) and recorded as timeouts at their cancellation time; methods
-    that finished *before* the winner keep their genuine outcomes.  The
-    hypergraph is packed once and shared by every racer; every racer's
-    ``worker.exec`` span parents on ``trace`` (default: ambient context).
+    Returns ``(winner, per_method)`` by
+    :func:`~repro.decomp.driver.portfolio_verdict`: the method with the
+    fastest definite answer, or ``None`` when nobody answered.  Every racer
+    runs until it answers or is killed at ``timeout + grace``, exactly as
+    in :func:`map_checks`, so each outcome is what the method does with the
+    whole budget.  The hypergraph is packed once and shared by every racer;
+    every racer's ``worker.exec`` span parents on ``trace`` (default:
+    ambient context).
     """
     if trace is None:
         trace = TRACER.current_context()
     tasks = [(method, hypergraph, k, timeout) for method in methods]
-    outcomes, winner = _check_pool(tasks, len(tasks), grace, [trace] * len(tasks), race=True)
-    return (None if winner is None else methods[winner]), dict(zip(methods, outcomes))
+    outcomes = _check_pool(tasks, len(tasks), grace, [trace] * len(tasks))
+    per_method = dict(zip(methods, outcomes))
+    return portfolio_verdict(per_method)[1], per_method
 
 
 def map_checks(
@@ -374,5 +368,4 @@ def map_checks(
     """
     if traces is None:
         traces = [None] * len(tasks)
-    outcomes, _ = _check_pool(tasks, max(1, int(jobs)), grace, traces)
-    return outcomes
+    return _check_pool(tasks, max(1, int(jobs)), grace, traces)

@@ -18,7 +18,8 @@ Endpoints (all responses are JSON):
     Like ``/check`` but fails with 404-style ``"verdict": "no"`` semantics
     left to the client; the decomposition rides along on a yes.
 ``POST /portfolio``
-    ``{"hypergraph": ..., "k": 3, ...}`` → the Table 4 race verdict.
+    ``{"hypergraph": ..., "k": 3, ...}`` → the Table 4 race verdict,
+    answered once every racer has answered or spent its budget.
 ``GET /stats``
     Service, engine and store counters (coalescing, waves, hit rates).
 ``GET /healthz``

@@ -9,8 +9,10 @@ from repro.decomp.driver import (
     NO,
     TIMEOUT,
     YES,
+    CheckOutcome,
     exact_width,
     ghd_portfolio,
+    portfolio_verdict,
     timed_check,
 )
 from repro.errors import DeadlineExceeded
@@ -78,6 +80,26 @@ class TestPortfolio:
         best, per_algorithm = ghd_portfolio(k5, 2, timeout=0.0)
         assert best.verdict == TIMEOUT
         assert all(o.verdict == TIMEOUT for o in per_algorithm.values())
+
+    def test_verdict_is_the_fastest_definite_answer(self):
+        per = {
+            "GlobalBIP": CheckOutcome(NO, 0.3),
+            "LocalBIP": CheckOutcome(TIMEOUT, 0.1),  # quicker, but no answer
+            "BalSep": CheckOutcome(NO, 0.2),
+        }
+        assert portfolio_verdict(per) == (per["BalSep"], "BalSep")
+        # equal times: the earlier racer in lineup order wins
+        per["GlobalBIP"] = CheckOutcome(NO, 0.2)
+        assert portfolio_verdict(per)[1] == "GlobalBIP"
+
+    def test_verdict_without_an_answer_is_the_slowest_timeout(self):
+        per = {
+            "GlobalBIP": CheckOutcome(TIMEOUT, 1.0),
+            "LocalBIP": CheckOutcome(TIMEOUT, 1.4),
+            "BalSep": CheckOutcome(TIMEOUT, 1.2),
+        }
+        outcome, winner = portfolio_verdict(per)
+        assert outcome is per["LocalBIP"] and winner is None
 
     def test_portfolio_picks_fastest_answer(self, cycle6):
         best, per_algorithm = ghd_portfolio(cycle6, 2, timeout=5.0)

@@ -653,17 +653,27 @@ class TestGracefulDrain:
     def test_jobs_2_server_survives_worker_dispatched_checks(self, tmp_path):
         """A forked check worker must not inherit the server's SIGTERM
         handling.  Under ``--jobs 2`` every cold check runs in a worker
-        process that is terminated once it has answered, and a portfolio
-        race terminates its losers mid-search; after one race and ten
-        distinct cold checks, every verdict is definite and the server is
-        still running."""
+        process that is terminated once it has answered, and a check that
+        ignores its deadline is terminated mid-search at its hard timeout;
+        after one race, that check and ten distinct cold checks, every
+        verdict is the expected one and the server is still running."""
         env = dict(os.environ)
         env["PYTHONPATH"] = (
             str(REPO_ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
         )
+        bootstrap = (
+            "import sys\n"
+            "from repro.cli import main\n"
+            "from repro.engine import register_method\n"
+            "def spin(hypergraph, k, deadline):\n"
+            "    while True:\n"
+            "        pass\n"
+            "register_method('spin', spin)\n"
+            "sys.exit(main(['serve', *sys.argv[1:]]))\n"
+        )
         proc = subprocess.Popen(
             [
-                sys.executable, "-m", "repro", "serve",
+                sys.executable, "-c", bootstrap,
                 "--port", "0", "--cache", str(tmp_path / "jobs2.db"),
                 "--jobs", "2",
             ],
@@ -675,14 +685,17 @@ class TestGracefulDrain:
             assert "repro service on http://" in banner, banner
             port = int(banner.split("http://127.0.0.1:")[1].split()[0].rstrip("/"))
             with ServiceClient(port=port, timeout=30.0) as client:
-                # GlobalBIP refutes hw(K8) <= 3 in ~0.1 s; BalSep is still
-                # searching when it is cancelled
-                race = client.portfolio(clique_hypergraph(8), 3, timeout=10.0)
+                # GlobalBIP refutes hw(K8) <= 3 in ~0.1 s; BalSep spends
+                # its whole budget
+                race = client.portfolio(clique_hypergraph(8), 3, timeout=2.0)
+                # killed by the parent at timeout + grace
+                spun = client.check(_triangle(), 2, method="spin", timeout=0.2)
                 verdicts = [
                     client.check(cycle_hypergraph(n), 2)["verdict"]
                     for n in range(3, 13)
                 ]
             assert race["verdict"] == "no"
+            assert spun["verdict"] == "timeout"
             assert verdicts == ["yes"] * 10
             assert proc.poll() is None, "the server shut itself down"
         finally:
