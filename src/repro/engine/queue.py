@@ -79,6 +79,9 @@ DEAD = "dead"
 
 #: States a lease can be granted from.
 _LEASABLE = (PENDING, FAILED)
+#: The same states as a literal condition, for the partial index and the
+#: lease query that must repeat it.
+_LEASABLE_SQL = "state IN ({})".format(", ".join(f"'{s}'" for s in _LEASABLE))
 #: States no transition ever leaves.
 TERMINAL = (DONE, DEAD)
 
@@ -125,11 +128,21 @@ CREATE TABLE IF NOT EXISTS jobs (
     updated_at     REAL NOT NULL
 );
 CREATE INDEX IF NOT EXISTS jobs_by_state ON jobs (state, not_before, id);
+CREATE INDEX IF NOT EXISTS jobs_leasable ON jobs (id) WHERE {leasable};
 CREATE TABLE IF NOT EXISTS queue_meta (
     key   TEXT PRIMARY KEY,
     value INTEGER NOT NULL
 );
-"""
+""".format(leasable=_LEASABLE_SQL)
+
+#: The oldest leasable rows, read from ``jobs_leasable`` in id order so the
+#: backlog is never sorted.  The planner uses a partial index only when the
+#: query repeats its literal condition, and picks this one only when named.
+_LEASE_SQL = (
+    "SELECT id, key, payload, attempts, max_attempts FROM jobs"
+    f" INDEXED BY jobs_leasable WHERE {_LEASABLE_SQL} AND not_before <= ?"
+    " ORDER BY id LIMIT ?"
+)
 
 
 def payload_from_spec(spec: JobSpec) -> dict:
@@ -356,15 +369,9 @@ class JobQueue:
         """
         seconds = self.lease_seconds if lease_seconds is None else float(lease_seconds)
         granted: list[JobLease] = []
-        marks = ",".join("?" for _ in _LEASABLE)
         with self._lock, self._txn():
             now = self.clock()
-            rows = self._conn.execute(
-                f"SELECT id, key, payload, attempts, max_attempts FROM jobs"
-                f" WHERE state IN ({marks}) AND not_before <= ?"
-                f" ORDER BY id LIMIT ?",
-                (*_LEASABLE, now, max(0, int(n))),
-            ).fetchall()
+            rows = self._conn.execute(_LEASE_SQL, (now, max(0, int(n)))).fetchall()
             deadline = now + seconds
             for job_id, key_text, payload_text, attempts, budget in rows:
                 self._conn.execute(

@@ -4,11 +4,11 @@ Distributed dispatch turns the store from a private cache into a shared
 write target: every worker process finishing a wave writes its verdicts
 back, and a single SQLite file serialises all of them on one WAL writer
 lock.  Sharding by content fingerprint splits that contention N ways while
-keeping every lookup single-file: a job's results, its per-method
-``bounds`` and its cross-method ``kind_bounds`` all live on the shard its
+keeping every lookup single-file: a job's rows live on the shard its
 fingerprint routes to, and no table is replicated.  A verdict is therefore
-one transaction on one shard file, and every read (``get``, ``implied``,
-``kind_bounds``, ``effective_bounds``) routes to that same owner.
+one row on one shard file, and every read (``get``, ``implied``,
+``bounds``, ``kind_bounds``, ``effective_bounds``) routes to that same
+owner, which derives the intervals from those rows.
 
 Routing is the first two hex digits of the (SHA-256) fingerprint modulo the
 shard count — deterministic, uniform, and stable across processes, so every
@@ -209,14 +209,10 @@ class ShardedResultStore:
         return sorted(rows)
 
     def kind_bounds_rows(self) -> list[tuple[str, str, int, int | None]]:
-        # Caches written by older versions hold copies of other shards'
-        # rows that are no longer refreshed; only the owner's are current.
-        return sorted(
-            row
-            for index, shard in enumerate(self.shards)
-            for row in shard.kind_bounds_rows()
-            if shard_for(row[0], self.n_shards) == index
-        )
+        rows: list[tuple[str, str, int, int | None]] = []
+        for shard in self.shards:
+            rows.extend(shard.kind_bounds_rows())
+        return sorted(rows)
 
     # ------------------------------------------------------------ accounting
 

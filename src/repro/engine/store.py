@@ -20,16 +20,17 @@ On top of the row cache sits a per-``(fingerprint, method)`` **bounds index**:
 ``Check(H, k)`` is monotone in ``k`` for every method whose search space only
 grows with ``k`` (a decomposition of width ≤ k is one of width ≤ k + 1, and a
 definite "no" at k refutes every smaller k), so every stored definite verdict
-implies verdicts at other widths.  The index keeps the derived interval
+implies verdicts at other widths.  The index is the derived interval
 ``lo <= width <= hi`` — ``lo`` is one past the largest refuted k, ``hi`` the
 smallest accepted k — and :meth:`ResultStore.get` answers *implied* keys from
 it when no row matches: ``k >= hi`` replays the witnessing yes-row (its
 decomposition is valid evidence at any larger k), ``k < lo`` is a derived
 "no".  Only methods the :mod:`repro.engine.methods` registry marks monotone
 participate (see :data:`MONOTONE_METHODS`); custom registered methods make
-no monotonicity promise.  The index is recomputed from the stored rows on
-every put and clear, so it never claims more than the rows present can
-justify.
+no monotonicity promise.  The index is not stored: every reader derives it
+from the fingerprint's rows with one grouped query over ``results``, whose
+primary key already orders them by ``(fingerprint, method, k)``, so it never
+claims more than the rows present can justify.
 
 On top of the per-method index sits the **cross-method knowledge layer**:
 the paper's width notions are related by the proven inequalities
@@ -38,18 +39,28 @@ the paper's width notions are related by the proven inequalities
 
 so a verdict recorded under one method constrains every method of a related
 *width kind*.  :data:`WIDTH_RELATIONS` encodes the inequalities as interval
-transforms between kinds; ``put`` folds each method's direct bounds into a
-per-``(fingerprint, kind)`` table (``kind_bounds``) and propagates them
-across kinds to a fixpoint.  :meth:`ResultStore.implied` consults these
-cross-method rows after the direct index: an hw "yes" at ``k`` answers a ghw
-check at ``k`` instantly (with the witnessing decomposition borrowed from
-any same-kind method whose witness kind matches), and a ghw "no" at ``k``
-refutes an hw check at ``k`` — closing gaps no single method's rows could.
+transforms between kinds; a reader folds each method's direct interval into
+its width kind and propagates the kind intervals to a fixpoint.
+:meth:`ResultStore.implied` consults them after the direct interval: an hw
+"yes" at ``k`` answers a ghw check at ``k`` instantly (with the witnessing
+decomposition borrowed from any same-kind method whose witness kind
+matches), and a ghw "no" at ``k`` refutes an hw check at ``k`` — closing
+gaps no single method's rows could.
 
-Stores created before the knowledge layer (no ``kind_bounds`` table) are
-migrated in place on open: the table is created and seeded from the
-surviving per-method bounds, so old ``--cache`` files keep every derived
-fact and gain the cross-method rows for free.
+**Contradictions.**  Rows that contradict each other close an interval
+(``lo > hi``): an hd "yes" at 2 and "no" at 3 say nothing true about larger
+k.  When the asked method's interval closes, or any kind interval closes
+after the fixpoint, the store serves no derived answer for that
+fingerprint: :meth:`ResultStore.implied` returns ``None`` and
+:meth:`ResultStore.effective_bounds` ``(1, None)``, so only exact rows
+answer.  :meth:`ResultStore.bounds` and :meth:`ResultStore.kind_bounds`
+still report the raw interval.
+
+Files written by older builds also hold ``bounds`` and ``kind_bounds``
+tables, copies of these intervals that those builds rewrote on every put.
+This build neither reads nor writes them.  :meth:`ResultStore.clear` drops
+them, so a cleared file holds nothing an older build could answer from;
+opening a file never does, because an older build may share it.
 
 **Concurrency.**  A store may be shared between threads (the service layer
 peeks from its event loop while a batch wave writes from a worker thread)
@@ -58,11 +69,11 @@ and between processes (several ``repro`` invocations pointing at the same
 lock, the connection is opened with ``check_same_thread=False``, and
 file-backed stores run in SQLite's WAL journal mode with a busy timeout —
 readers never block the writer, and a second process retries instead of
-failing with ``database is locked``.  Each write call (``put``, ``clear``,
-``import_rows``) is one ``BEGIN IMMEDIATE … COMMIT`` transaction: one commit
-per verdict, and no reader ever sees a row without the bounds it implies.
-A lookup (``get``, ``implied``, the bounds readers) takes no write lock and
-appends nothing to the WAL.
+failing with ``database is locked``.  A verdict is one row: ``put`` is a
+single ``INSERT`` and so one commit.  ``clear`` and ``import_rows`` are one
+``BEGIN IMMEDIATE … COMMIT`` transaction each.  A lookup (``get``,
+``implied``, the bounds readers) takes no write lock and appends nothing to
+the WAL.
 """
 
 from __future__ import annotations
@@ -185,28 +196,64 @@ CREATE TABLE IF NOT EXISTS results (
     use_count   INTEGER NOT NULL DEFAULT 0,
     PRIMARY KEY (fingerprint, method, k, timeout)
 );
-CREATE TABLE IF NOT EXISTS bounds (
-    fingerprint TEXT NOT NULL,
-    method      TEXT NOT NULL,
-    lo          INTEGER NOT NULL,
-    hi          INTEGER,
-    PRIMARY KEY (fingerprint, method)
-);
-CREATE TABLE IF NOT EXISTS kind_bounds (
-    fingerprint TEXT NOT NULL,
-    kind        TEXT NOT NULL,
-    lo          INTEGER NOT NULL,
-    hi          INTEGER,
-    PRIMARY KEY (fingerprint, kind)
-);
 CREATE TABLE IF NOT EXISTS meta (
     key   TEXT PRIMARY KEY,
     value INTEGER NOT NULL
 );
 """
 
-#: Bumped when the derived tables change shape; old stores migrate in place.
-SCHEMA_VERSION = 2
+
+#: A width interval ``(lo, hi)``: ``lo <= width``, and ``width <= hi``
+#: unless ``hi`` is ``None``.
+_Interval = tuple[int, int | None]
+
+
+def _kind_intervals(direct: dict[str, _Interval]) -> dict[str, _Interval]:
+    """The per-kind intervals that per-method intervals imply.
+
+    Each monotone method's direct interval is folded into its *decision
+    kind* (the width kind whose ``≤ k`` question its verdicts answer), then
+    the :data:`WIDTH_RELATIONS` transforms propagate the intervals across
+    kinds until nothing tightens.  The fixpoint exists because ``lo`` only
+    ever rises and ``hi`` only ever falls within the bounded lattice the
+    relations span; the iteration cap is defensive.
+    """
+    intervals: dict[str, list] = {}
+    for method, (lo, hi) in direct.items():
+        kind = _methods.decision_kind_of(method)
+        if kind is None:
+            continue
+        current = intervals.setdefault(kind, [1, None])
+        current[0] = max(current[0], lo)
+        if hi is not None:
+            current[1] = hi if current[1] is None else min(current[1], hi)
+
+    for _ in range(8):  # defensive cap; 2-3 passes suffice in practice
+        changed = False
+        for relation in WIDTH_RELATIONS:
+            src = intervals.get(relation.src)
+            if src is None:
+                continue
+            dst = intervals.setdefault(relation.dst, [1, None])
+            if relation.lo_map is not None:
+                derived_lo = relation.lo_map(src[0])
+                if derived_lo > dst[0]:
+                    dst[0] = derived_lo
+                    changed = True
+            if relation.hi_map is not None and src[1] is not None:
+                derived_hi = relation.hi_map(src[1])
+                if dst[1] is None or derived_hi < dst[1]:
+                    dst[1] = derived_hi
+                    changed = True
+        if not changed:
+            break
+    return {kind: (lo, hi) for kind, (lo, hi) in intervals.items()}
+
+
+def _closes(interval: _Interval) -> bool:
+    """Whether contradicting rows closed the interval (``lo > hi``)."""
+    lo, hi = interval
+    return hi is not None and lo > hi
 
 
 def timeout_key(timeout: float | None) -> str:
@@ -302,30 +349,8 @@ class ResultStore:
                 self._conn.execute("PRAGMA busy_timeout=5000")
                 self._conn.execute("PRAGMA synchronous=NORMAL")
             self._conn.executescript(_SCHEMA)
-            self._migrate()
         except sqlite3.DatabaseError as exc:
             raise ReproError(f"{self.path} is not a result store: {exc}") from exc
-
-    def _migrate(self) -> None:
-        """Bring a store created by an older schema up to date, in place.
-
-        Pre-knowledge-layer stores have per-method ``bounds`` rows but no
-        ``kind_bounds``; seeding the cross-method table from the surviving
-        bounds keeps every derived fact and adds the inter-width rows.  The
-        ``results``/``bounds``/``meta`` tables are unchanged, so migrated
-        files remain readable by the code that wrote them.
-        """
-        if self._meta("schema_version") >= SCHEMA_VERSION:
-            return
-        fingerprints = [
-            fp for (fp,) in self._conn.execute("SELECT DISTINCT fingerprint FROM bounds")
-        ]
-        for fp in fingerprints:
-            self._recompute_kind_bounds(fp)
-        self._conn.execute(
-            "INSERT OR REPLACE INTO meta (key, value) VALUES ('schema_version', ?)",
-            (SCHEMA_VERSION,),
-        )
 
     # ------------------------------------------------------------- lifecycle
 
@@ -341,8 +366,8 @@ class ResultStore:
 
     @contextmanager
     def _txn(self):
-        """A write transaction: a row and the bounds it implies commit
-        together or not at all."""
+        """A write transaction: a call's statements commit together or not
+        at all."""
         self._conn.execute("BEGIN IMMEDIATE")
         try:
             yield
@@ -411,7 +436,8 @@ class ResultStore:
     ) -> None:
         """Persist one outcome (replacing any stale row under the same key).
 
-        The row and its bounds are one transaction.
+        One statement: the intervals the store answers from are derived
+        from the rows on read.
         """
         decomposition = (
             decomposition_to_json(outcome.decomposition)
@@ -421,7 +447,7 @@ class ResultStore:
         # Nothing reads created_at/last_used/use_count; they are written so
         # builds that still name the columns can read and write the file.
         now = time.time()
-        with self._lock, self._txn():
+        with self._lock:
             self._conn.execute(
                 "INSERT OR REPLACE INTO results "
                 "(fingerprint, method, k, timeout, verdict, seconds, decomposition,"
@@ -440,123 +466,82 @@ class ResultStore:
                     now,
                 ),
             )
-            if method in MONOTONE_METHODS:
-                self._recompute_bounds(fingerprint, method)
-                self._recompute_kind_bounds(fingerprint)
 
     def clear(self) -> None:
-        """Drop every cached result and reset the lifetime counters."""
+        """Drop every cached result and reset the lifetime counters.
+
+        Also drops the ``bounds`` and ``kind_bounds`` tables an older build
+        keeps in the file, so a cleared file holds nothing an older build
+        could answer from.
+        """
         with self._lock, self._txn():
             self._conn.execute("DELETE FROM results")
-            self._conn.execute("DELETE FROM bounds")
-            self._conn.execute("DELETE FROM kind_bounds")
             self._conn.execute("DELETE FROM meta")
+            self._conn.execute("DROP TABLE IF EXISTS bounds")
+            self._conn.execute("DROP TABLE IF EXISTS kind_bounds")
 
     # ---------------------------------------------------------------- bounds
 
-    def _recompute_bounds(self, fingerprint: str, method: str) -> None:
-        """Re-derive ``[lo, hi]`` for one key from the rows currently stored.
-
-        Recomputation (rather than monotone tightening) keeps the index exact
-        under row replacement: the interval always equals precisely what the
-        stored definite verdicts justify.
-        """
-        max_no, min_yes = self._conn.execute(
-            "SELECT MAX(CASE WHEN verdict = ? THEN k END),"
+    def _direct_rows(
+        self, fingerprint: str | None = None
+    ) -> list[tuple[str, str, int, int | None]]:
+        """``(fingerprint, method, lo, hi)`` for every monotone method with a
+        definite row, of one fingerprint or of all, in key order."""
+        where, params = "", ()
+        if fingerprint is not None:
+            where, params = "fingerprint = ? AND ", (fingerprint,)
+        rows = self._conn.execute(
+            "SELECT fingerprint, method, MAX(CASE WHEN verdict = ? THEN k END),"
             " MIN(CASE WHEN verdict = ? THEN k END) FROM results"
-            " WHERE fingerprint = ? AND method = ?",
-            (NO, YES, fingerprint, method),
-        ).fetchone()
-        if max_no is None and min_yes is None:
-            self._conn.execute(
-                "DELETE FROM bounds WHERE fingerprint = ? AND method = ?",
-                (fingerprint, method),
-            )
-            return
-        self._conn.execute(
-            "INSERT OR REPLACE INTO bounds (fingerprint, method, lo, hi) "
-            "VALUES (?, ?, ?, ?)",
-            (fingerprint, method, (max_no or 0) + 1, min_yes),
+            f" WHERE {where}verdict IN (?, ?)"
+            " GROUP BY fingerprint, method ORDER BY fingerprint, method",
+            (NO, YES, *params, YES, NO),
         )
+        return [
+            (fp, method, (max_no or 0) + 1, min_yes)
+            for fp, method, max_no, min_yes in rows
+            if method in MONOTONE_METHODS
+        ]
 
-    def _recompute_kind_bounds(self, fingerprint: str) -> None:
-        """Re-derive the per-kind intervals for one fingerprint.
+    def _intervals(
+        self, fingerprint: str
+    ) -> tuple[dict[str, _Interval], dict[str, _Interval]]:
+        """The fingerprint's per-method and per-kind intervals."""
+        direct = {
+            method: (lo, hi) for _, method, lo, hi in self._direct_rows(fingerprint)
+        }
+        return direct, _kind_intervals(direct)
 
-        Each monotone method's direct bounds are folded into its
-        *decision kind* (the width kind whose ``≤ k`` question its verdicts
-        answer), then the :data:`WIDTH_RELATIONS` transforms propagate the
-        intervals across kinds until nothing tightens.  The fixpoint exists
-        because ``lo`` only ever rises and ``hi`` only ever falls within the
-        bounded lattice the relations span; the iteration cap is defensive.
-        """
-        intervals: dict[str, list] = {}
-        for method, lo, hi in self._conn.execute(
-            "SELECT method, lo, hi FROM bounds WHERE fingerprint = ?",
-            (fingerprint,),
-        ):
-            kind = _methods.decision_kind_of(method)
-            if kind is None:
-                continue
-            current = intervals.setdefault(kind, [1, None])
-            current[0] = max(current[0], lo)
-            if hi is not None:
-                current[1] = hi if current[1] is None else min(current[1], hi)
-
-        for _ in range(8):  # defensive cap; 2-3 passes suffice in practice
-            changed = False
-            for relation in WIDTH_RELATIONS:
-                src = intervals.get(relation.src)
-                if src is None:
-                    continue
-                dst = intervals.setdefault(relation.dst, [1, None])
-                if relation.lo_map is not None:
-                    derived_lo = relation.lo_map(src[0])
-                    if derived_lo > dst[0]:
-                        dst[0] = derived_lo
-                        changed = True
-                if relation.hi_map is not None and src[1] is not None:
-                    derived_hi = relation.hi_map(src[1])
-                    if dst[1] is None or derived_hi < dst[1]:
-                        dst[1] = derived_hi
-                        changed = True
-            if not changed:
-                break
-
-        self._conn.execute(
-            "DELETE FROM kind_bounds WHERE fingerprint = ?", (fingerprint,)
-        )
-        self._conn.executemany(
-            "INSERT INTO kind_bounds (fingerprint, kind, lo, hi) VALUES (?, ?, ?, ?)",
-            [
-                (fingerprint, kind, lo, hi)
-                for kind, (lo, hi) in intervals.items()
-                if lo > 1 or hi is not None  # trivial (1, None) rows say nothing
-            ],
-        )
+    def _answerable(
+        self, fingerprint: str, method: str
+    ) -> tuple[_Interval, dict[str, _Interval]] | None:
+        """The method's direct interval and the kind intervals, or ``None``
+        when the rows contradict each other: the method's interval or any
+        kind interval closes, so no derived answer may be served."""
+        direct, kinds = self._intervals(fingerprint)
+        interval = direct.get(method, (1, None))
+        if _closes(interval) or any(_closes(kind) for kind in kinds.values()):
+            return None
+        return interval, kinds
 
     def bounds(self, fingerprint: str, method: str) -> tuple[int, int | None]:
         """Derived width bounds ``(lo, hi)``: ``lo <= width``, ``width <= hi``.
 
         ``(1, None)`` when nothing definite is stored (every width is ≥ 1 and
         no upper bound is known).  These are the *direct* bounds — what the
-        method's own rows prove; see :meth:`kind_bounds` /
-        :meth:`effective_bounds` for the cross-method knowledge.
+        method's own rows prove, raw even when they contradict; see
+        :meth:`kind_bounds` / :meth:`effective_bounds` for the cross-method
+        knowledge.
         """
         with self._lock:
-            row = self._conn.execute(
-                "SELECT lo, hi FROM bounds WHERE fingerprint = ? AND method = ?",
-                (fingerprint, method),
-            ).fetchone()
-        return (row[0], row[1]) if row is not None else (1, None)
+            direct, _ = self._intervals(fingerprint)
+        return direct.get(method, (1, None))
 
     def kind_bounds(self, fingerprint: str, kind: str) -> tuple[int, int | None]:
         """The cross-method interval for one width kind (``(1, None)`` default)."""
         with self._lock:
-            row = self._conn.execute(
-                "SELECT lo, hi FROM kind_bounds WHERE fingerprint = ? AND kind = ?",
-                (fingerprint, kind),
-            ).fetchone()
-        return (row[0], row[1]) if row is not None else (1, None)
+            _, kinds = self._intervals(fingerprint)
+        return kinds.get(kind, (1, None))
 
     def effective_bounds(self, fingerprint: str, method: str) -> tuple[int, int | None]:
         """Direct bounds tightened by the method's decision-kind interval.
@@ -564,13 +549,17 @@ class ResultStore:
         The upper bound is only borrowed across methods when an implied
         "yes" would actually replay for this method (witness-required
         methods execute instead — their deliverable is the decomposition).
+        ``(1, None)`` when the fingerprint's rows contradict each other.
         """
         with self._lock:
-            lo, hi = self.bounds(fingerprint, method)
-            spec = _methods.get_optional(method)
-            if spec is None or spec.decision_kind is None:
-                return lo, hi
-            kind_lo, kind_hi = self.kind_bounds(fingerprint, spec.decision_kind)
+            known = self._answerable(fingerprint, method)
+        if known is None:
+            return 1, None
+        (lo, hi), kinds = known
+        spec = _methods.get_optional(method)
+        if spec is None or spec.decision_kind is None:
+            return lo, hi
+        kind_lo, kind_hi = kinds.get(spec.decision_kind, (1, None))
         lo = max(lo, kind_lo)
         if kind_hi is not None and not spec.witness_required:
             hi = kind_hi if hi is None else min(hi, kind_hi)
@@ -588,12 +577,16 @@ class ResultStore:
         matches (a BalSep GHD is valid evidence for a LocalBIP "yes"), and
         is suppressed entirely for witness-required methods — their callers
         want the decomposition, not just the verdict.  Derived answers
-        report zero seconds: no stored attempt ran at this k.
+        report zero seconds: no stored attempt ran at this k.  Nothing is
+        implied while the fingerprint's rows contradict each other.
         """
         if method not in MONOTONE_METHODS:
             return None
         with self._lock:
-            lo, hi = self.bounds(fingerprint, method)
+            known = self._answerable(fingerprint, method)
+            if known is None:
+                return None
+            (lo, hi), kinds = known
             if hi is not None and k >= hi:
                 witness = self._conn.execute(
                     "SELECT decomposition FROM results "
@@ -605,14 +598,16 @@ class ResultStore:
                 return StoredResult(YES, 0.0, decomposition, implied=True)
             if k < lo:
                 return StoredResult(NO, 0.0, implied=True)
-            return self._cross_implied(fingerprint, method, k)
+            return self._cross_implied(fingerprint, method, k, kinds)
 
-    def _cross_implied(self, fingerprint: str, method: str, k: int) -> StoredResult | None:
+    def _cross_implied(
+        self, fingerprint: str, method: str, k: int, kinds: dict
+    ) -> StoredResult | None:
         """A verdict implied by *other* methods' rows via the width relations."""
         spec = _methods.get_optional(method)
         if spec is None or spec.decision_kind is None:
             return None
-        lo, hi = self.kind_bounds(fingerprint, spec.decision_kind)
+        lo, hi = kinds.get(spec.decision_kind, (1, None))
         if k < lo:
             return StoredResult(NO, 0.0, implied=True)
         if hi is not None and k >= hi and not spec.witness_required:
@@ -662,24 +657,20 @@ class ResultStore:
     def bounds_rows(self) -> list[tuple[str, str, int, int | None]]:
         """The whole bounds index as ``(fingerprint, method, lo, hi)`` rows."""
         with self._lock:
-            return [
-                (fp, method, lo, hi)
-                for fp, method, lo, hi in self._conn.execute(
-                    "SELECT fingerprint, method, lo, hi FROM bounds "
-                    "ORDER BY fingerprint, method"
-                )
-            ]
+            return self._direct_rows()
 
     def kind_bounds_rows(self) -> list[tuple[str, str, int, int | None]]:
-        """The cross-method index as ``(fingerprint, kind, lo, hi)`` rows."""
-        with self._lock:
-            return [
-                (fp, kind, lo, hi)
-                for fp, kind, lo, hi in self._conn.execute(
-                    "SELECT fingerprint, kind, lo, hi FROM kind_bounds "
-                    "ORDER BY fingerprint, kind"
-                )
-            ]
+        """The cross-method index as ``(fingerprint, kind, lo, hi)`` rows,
+        leaving out the intervals that say nothing (``(1, None)``)."""
+        by_fingerprint: dict[str, dict[str, _Interval]] = {}
+        for fp, method, lo, hi in self.bounds_rows():
+            by_fingerprint.setdefault(fp, {})[method] = (lo, hi)
+        return [
+            (fp, kind, lo, hi)
+            for fp, direct in by_fingerprint.items()
+            for kind, (lo, hi) in sorted(_kind_intervals(direct).items())
+            if lo > 1 or hi is not None
+        ]
 
     # ------------------------------------------------------------ migration
 
@@ -693,9 +684,7 @@ class ResultStore:
             ).fetchall()
 
     def import_rows(self, rows: list[tuple]) -> None:
-        """Bulk-load rows exported by :meth:`export_rows`, then re-derive
-        the bounds and kind_bounds indices for every touched fingerprint,
-        all in one transaction.
+        """Bulk-load rows exported by :meth:`export_rows` in one transaction.
 
         ``created_at``/``last_used``/``use_count`` are carried as stored.
         """
@@ -709,12 +698,6 @@ class ResultStore:
                 " VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
                 rows,
             )
-            touched = {(row[0], row[1]) for row in rows}
-            for fp, method in touched:
-                if method in MONOTONE_METHODS:
-                    self._recompute_bounds(fp, method)
-            for fp in {fp for fp, _ in touched}:
-                self._recompute_kind_bounds(fp)
 
     def adopt_meta(self, hits: int = 0, misses: int = 0, implied: int = 0) -> None:
         """Carry lifetime counters over from a store being migrated away.

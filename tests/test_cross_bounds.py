@@ -2,17 +2,19 @@
 
 Covers the :data:`repro.engine.store.WIDTH_RELATIONS` transforms
 (fhw ≤ ghw ≤ hw ≤ 3·ghw + 1), witness borrowing across methods, the
-witness-required suppression for ``fracimprove``, schema migration of
-cache files written before the knowledge layer, clearing the
-``kind_bounds`` table, the ``cache bounds --kind`` CLI filter, and the
-acceptance scenario: a warm sweep interleaving hw and ghw jobs on the same
-instances answers from the other method's rows (``EngineStats.implied``
-hits) with verdicts identical to the frozen reference kernel.
+witness-required suppression for ``fracimprove``, cache files written by
+older builds (answers come from their rows, never from their stored
+bounds), clearing, contradicting rows (no derived answer), the
+``cache bounds --kind`` CLI filter, and the acceptance scenario: a warm
+sweep interleaving hw and ghw jobs on the same instances answers from the
+other method's rows (``EngineStats.implied`` hits) with verdicts identical
+to the frozen reference kernel.
 """
 
 from __future__ import annotations
 
 import sqlite3
+from contextlib import closing
 
 import pytest
 
@@ -153,6 +155,16 @@ CREATE TABLE bounds (
 CREATE TABLE meta (key TEXT PRIMARY KEY, value INTEGER NOT NULL);
 """
 
+#: The cross-method table that older builds, from the knowledge layer on,
+#: kept in the file.
+OLD_KIND_BOUNDS = """
+CREATE TABLE IF NOT EXISTS kind_bounds (
+    fingerprint TEXT NOT NULL, kind TEXT NOT NULL,
+    lo INTEGER NOT NULL, hi INTEGER,
+    PRIMARY KEY (fingerprint, kind)
+)
+"""
+
 
 def write_pr2_era_store(path, triangle) -> str:
     """A cache file exactly as the pre-knowledge-layer schema wrote it."""
@@ -200,10 +212,39 @@ class TestSchemaMigration:
         fp = write_pr2_era_store(path, triangle)
         with ResultStore(path):
             pass
-        # second open must not re-derive (version stamp present)
+        # a second open derives the same intervals from the same rows
         with ResultStore(path) as store:
-            assert store._meta("schema_version") >= 2
             assert store.kind_bounds(fp, methods.GHW) == (2, 2)
+
+    def test_a_stale_bounds_row_in_an_older_file_is_ignored(self, tmp_path, triangle):
+        path = tmp_path / "old.db"
+        fp = write_pr2_era_store(path, triangle)
+        with closing(sqlite3.connect(path)) as conn, conn:
+            conn.execute("UPDATE bounds SET lo = 5, hi = NULL WHERE method = 'hd'")
+        with ResultStore(path) as store:
+            # the rows say no at 1 and yes at 2; the stale row said hw >= 5
+            assert store.bounds(fp, "hd") == (2, 2)
+            got = store.get(fp, "hd", 3, None)
+            assert got is not None and got.verdict == YES and got.implied
+
+    def test_a_new_file_holds_no_derived_table(self, tmp_path):
+        path = tmp_path / "new.db"
+        with ResultStore(path) as store:
+            store.put(FP, "hd", 2, None, CheckOutcome(YES, 0.1))
+        assert _tables(path) == {"results", "meta"}
+
+    def test_clear_drops_an_older_files_derived_tables(self, tmp_path, triangle):
+        path = tmp_path / "old.db"
+        write_pr2_era_store(path, triangle)
+        with closing(sqlite3.connect(path)) as conn, conn:
+            conn.execute(OLD_KIND_BOUNDS)
+        with ResultStore(path):
+            pass
+        # opening leaves them: an older build may share the file
+        assert _tables(path) == {"results", "bounds", "kind_bounds", "meta"}
+        with ResultStore(path) as store:
+            store.clear()
+        assert _tables(path) == {"results", "meta"}
 
     def test_clear_drops_kind_rows(self):
         with ResultStore() as store:
@@ -211,6 +252,60 @@ class TestSchemaMigration:
             assert store.kind_bounds_rows()
             store.clear()
             assert store.kind_bounds_rows() == []
+
+
+def _tables(path) -> set[str]:
+    with closing(sqlite3.connect(path)) as conn:
+        return {
+            name
+            for (name,) in conn.execute(
+                "SELECT name FROM sqlite_master WHERE type = 'table'"
+            )
+        }
+
+
+# ------------------------------------------------------- contradicting rows
+
+
+class TestContradictingRows:
+    """Rows that close an interval (``lo > hi``) serve no derived answer."""
+
+    def test_a_closed_method_interval_serves_only_exact_rows(self):
+        with ResultStore() as store:
+            store.put(FP, "hd", 2, None, CheckOutcome(YES, 0.1))
+            store.put(FP, "hd", 3, None, CheckOutcome(NO, 0.1))
+            # the raw intervals report what the rows say
+            assert store.bounds(FP, "hd") == (4, 2)
+            assert store.kind_bounds(FP, methods.HW) == (4, 2)
+            assert store.effective_bounds(FP, "hd") == (1, None)
+            assert store.get(FP, "hd", 4, None) is None
+            assert store.get(FP, "hd", 5, None) is None
+            assert store.get(FP, "balsep", 5, None) is None
+            assert store.implied(FP, "hd", 1) is None
+            for k, verdict in ((2, YES), (3, NO)):
+                got = store.get(FP, "hd", k, None)
+                assert got is not None and got.verdict == verdict
+                assert not got.implied
+
+    def test_a_closed_kind_interval_sends_exact_width_to_the_linear_protocol(
+        self, triangle
+    ):
+        fp = fingerprint(triangle)
+        with ResultStore() as store:
+            store.put(fp, "hd", 2, None, CheckOutcome(YES, 0.1, check_hd(triangle, 2)))
+            # a false refutation: ghw(triangle) = 2, and ghw <= hw <= 2
+            store.put(fp, "balsep", 2, None, CheckOutcome(NO, 0.1))
+            assert store.bounds(fp, "hd") == (1, 2)  # open on its own
+            assert store.kind_bounds(fp, methods.GHW) == (3, 2)
+            assert store.effective_bounds(fp, "hd") == (1, None)
+            assert store.implied(fp, "hd", 1) is None
+            assert store.implied(fp, "hd", 3) is None
+            engine = DecompositionEngine(store=store)
+            result = engine.exact_width(triangle, 4)
+            assert (result.lower, result.upper, result.exact) == (2, 2, True)
+            # k = 1 ran, k = 2 answered from its row
+            assert engine.stats.executed == 1
+            assert engine.stats.implied == 0
 
 
 # ------------------------------------------------------------- CLI surface

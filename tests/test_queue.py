@@ -24,6 +24,7 @@ Four layers of evidence, bottom up:
 from __future__ import annotations
 
 import contextlib
+import sqlite3
 import threading
 
 import pytest
@@ -78,6 +79,33 @@ class TestQueueLifecycle:
         assert len(queue.lease("w1", 5)) == 1
         assert queue.lease("w2", 5) == []
         assert queue.lease("w1", 5) == []  # not even to the same worker
+
+    def test_lease_takes_the_oldest_without_sorting_the_backlog(
+        self, tmp_path, fake_clock
+    ):
+        path = tmp_path / "queue.db"
+        with JobQueue(path, clock=fake_clock, backoff=10.0) as queue:
+            for seed in range(8):
+                queue.enqueue(JobSpec.check(random_hypergraph(seed), 2))
+            first = queue.lease("w", 1)[0]
+            assert queue.fail("w", first.job_id, "boom")  # parked for 10 s
+        # a queue file from before the index gains it on open
+        with contextlib.closing(sqlite3.connect(path)) as conn, conn:
+            conn.execute("DROP INDEX jobs_leasable")
+        with JobQueue(path, clock=fake_clock) as queue:
+            statements: list[str] = []
+            queue._conn.set_trace_callback(statements.append)
+            leases = queue.lease("w", 3)
+            queue._conn.set_trace_callback(None)
+            assert [lease.job_id for lease in leases] == [2, 3, 4]
+            fake_clock.advance(11)
+            assert [lease.job_id for lease in queue.lease("w", 2)] == [1, 5]
+            (select,) = [s for s in statements if s.startswith("SELECT")]
+            plan = " ".join(
+                row[-1]
+                for row in queue._conn.execute("EXPLAIN QUERY PLAN " + select)
+            )
+            assert "jobs_leasable" in plan and "TEMP B-TREE" not in plan, plan
 
     def test_lease_rebuilds_the_spec(self, triangle):
         queue = JobQueue()

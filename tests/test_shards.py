@@ -29,7 +29,7 @@ from repro.engine import (
 from repro.engine.shards import shard_for
 from repro.errors import ReproError
 from tests.conftest import clique_hypergraph, random_hypergraph
-from tests.test_cross_bounds import write_pr2_era_store
+from tests.test_cross_bounds import OLD_KIND_BOUNDS, write_pr2_era_store
 
 
 def _fingerprints(count: int) -> list[str]:
@@ -87,9 +87,9 @@ class TestRouting:
 # ------------------------------------------------------ one-shard writes
 
 
-def _kind_rows_on(shard: ResultStore, fp: str) -> int:
+def _rows_on(shard: ResultStore, fp: str) -> int:
     return shard._conn.execute(
-        "SELECT COUNT(*) FROM kind_bounds WHERE fingerprint = ?", (fp,)
+        "SELECT COUNT(*) FROM results WHERE fingerprint = ?", (fp,)
     ).fetchone()[0]
 
 
@@ -107,6 +107,22 @@ class TestOneShardPerVerdict:
                     ]
                     assert changed == [shard_for(fp, 4)]
 
+    def test_a_put_is_one_statement(self, tmp_path):
+        """A verdict is one row: no derived table is written beside it."""
+        fp = _fingerprints(1)[0]
+        with ResultStore(tmp_path / "cache.db") as store:
+            statements: list[str] = []
+            store._conn.set_trace_callback(statements.append)
+            for method, k, verdict in (
+                ("hd", 1, NO), ("hd", 2, YES), ("balsep", 2, YES), ("mystery", 2, NO)
+            ):
+                statements.clear()
+                store.put(fp, method, k, None, CheckOutcome(verdict, 0.1))
+                assert len(statements) == 1, statements
+                assert statements[0].startswith("INSERT OR REPLACE INTO results")
+            store._conn.set_trace_callback(None)
+            assert store.bounds(fp, "hd") == (2, 2)
+
     def test_implied_and_kind_bounds_answer_from_the_owner(self, tmp_path):
         fps = _fingerprints(10)
         with ShardedResultStore(tmp_path / "cache.d", shards=4) as store:
@@ -118,28 +134,29 @@ class TestOneShardPerVerdict:
                 assert store.kind_bounds(fp, "hw") == (1, 2)
                 owner = shard_for(fp, 4)
                 for index, shard in enumerate(store.shards):
-                    assert (_kind_rows_on(shard, fp) > 0) == (index == owner)
+                    assert (_rows_on(shard, fp) > 0) == (index == owner)
+                    if index != owner:
+                        assert shard.kind_bounds(fp, "hw") == (1, None)
 
-    def test_a_failed_put_leaves_no_row_and_unchanged_bounds(
-        self, tmp_path, monkeypatch
-    ):
+    def test_a_failed_put_leaves_no_row_and_unchanged_bounds(self, tmp_path):
         fp = _fingerprints(1)[0]
         with ShardedResultStore(tmp_path / "cache.d", shards=4) as store:
             store.put(fp, "hd", 2, None, CheckOutcome("yes", 0.1))
-
-            def broken(self, fingerprint):
-                raise RuntimeError("kind_bounds recompute failed")
-
-            monkeypatch.setattr(ResultStore, "_recompute_kind_bounds", broken)
-            with pytest.raises(RuntimeError, match="recompute failed"):
+            owner = store.shards[shard_for(fp, 4)]
+            # a trigger on the owner's connection makes the row write fail
+            owner._conn.execute(
+                "CREATE TEMP TRIGGER fail_put BEFORE INSERT ON results"
+                " BEGIN SELECT RAISE(ABORT, 'row write failed'); END"
+            )
+            with pytest.raises(sqlite3.IntegrityError, match="row write failed"):
                 store.put(fp, "hd", 1, None, CheckOutcome("no", 0.1))
-            monkeypatch.undo()
+            owner._conn.execute("DROP TRIGGER fail_put")
 
             assert store.get(fp, "hd", 1, None, bounds=False) is None
             assert len(store) == 1
             assert store.bounds(fp, "hd") == (1, 2)
-            assert not store.shards[shard_for(fp, 4)]._conn.in_transaction
-            # the store still takes writes after the rollback
+            assert not owner._conn.in_transaction
+            # the store still takes writes after the failed one
             store.put(fp, "hd", 1, None, CheckOutcome("no", 0.1))
             assert store.bounds(fp, "hd") == (2, 2)
 
@@ -155,7 +172,8 @@ class TestOneShardPerVerdict:
 
     def test_stale_replicas_in_an_older_cache_are_ignored(self, tmp_path, capsys):
         """Older versions copied each fingerprint's kind_bounds rows to every
-        shard and stopped refreshing the copies; only the owner's count."""
+        shard and stopped refreshing the copies; intervals derive from the
+        owner's rows alone."""
         cache_dir = tmp_path / "cache.d"
         fp = "00" + "ab" * 31  # owned by shard 0; the copies sit after it
         with ShardedResultStore(cache_dir, shards=4) as store:
@@ -164,6 +182,7 @@ class TestOneShardPerVerdict:
         for index in (1, 2, 3):
             shard_file = cache_dir / f"shard-{index:02d}.db"
             with closing(sqlite3.connect(shard_file)) as conn, conn:
+                conn.execute(OLD_KIND_BOUNDS)
                 conn.execute(
                     "INSERT OR REPLACE INTO kind_bounds (fingerprint, kind, lo, hi)"
                     " VALUES (?, 'hw', 1, 5)",
@@ -289,10 +308,9 @@ class TestSingleFileMigration:
     def test_pre_shard_file_migrates_in_place(self, tmp_path, triangle):
         """A PR 2-era single-file cache becomes a shard directory, losslessly.
 
-        Two schema eras at once: the old file predates the knowledge layer
-        *and* the shard layout, so opening it sharded exercises the full
-        upgrade path — column migration first (ResultStore), then row
-        distribution (ShardedResultStore)."""
+        The old file predates the knowledge layer *and* the shard layout:
+        opening it sharded distributes its rows, and the owner derives the
+        knowledge layer from them."""
         path = tmp_path / "cache.db"
         fp = write_pr2_era_store(path, triangle)
 
@@ -303,10 +321,11 @@ class TestSingleFileMigration:
             assert hit.verdict == "yes"
             assert hit.decomposition_json is not None
             assert store.bounds(fp, "hd") == (2, 2)
-            # the owner rebuilt the knowledge layer from its migrated rows
+            # the owner derives the knowledge layer from its migrated rows
             owner = shard_for(fp, 2)
             assert store.shards[owner].kind_bounds(fp, "hw") == (2, 2)
-            assert _kind_rows_on(store.shards[1 - owner], fp) == 0
+            assert _rows_on(store.shards[1 - owner], fp) == 0
+            assert store.shards[1 - owner].kind_bounds(fp, "hw") == (1, None)
 
         assert path.is_dir()
         backup = tmp_path / "cache.db.preshard"
