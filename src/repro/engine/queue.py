@@ -33,10 +33,15 @@ exactly once in the queue no matter how many zombies report late.  A worker
 completes a whole wave in one transaction, fenced row by row.
 
 Concurrency mirrors :class:`~repro.engine.store.ResultStore`: every public
-method serialises on an internal RLock, file-backed queues run in WAL mode
-with a busy timeout, and every read-modify-write step (leasing, sweeping)
-runs inside a ``BEGIN IMMEDIATE`` transaction so two worker *processes*
-can never lease the same row.
+method serialises on an internal RLock, the file is opened by
+:func:`repro.engine.db.connect` (WAL mode; a statement that finds the write
+lock taken retries in 0.1-2 ms steps for up to 5 s, where SQLite's own busy
+handler would sleep 1, 2, 5, 10 … ms), and every read-modify-write step
+(leasing, sweeping) runs inside one :func:`repro.engine.db.transaction`
+(``BEGIN IMMEDIATE``) so two worker *processes* can never lease the same
+row.  A call holds the write lock only for its SQL: results and payloads
+are serialised before ``BEGIN`` and parsed after ``COMMIT``, and a sweep
+that finds nothing expired takes no write lock at all.
 
 Time is read through an injectable ``clock`` callable (default
 :func:`time.time`) so tests can skew it to expire leases deterministically.
@@ -45,14 +50,13 @@ Time is read through an injectable ``clock`` callable (default
 from __future__ import annotations
 
 import json
-import sqlite3
 import threading
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
 from repro.core.hypergraph import Hypergraph
+from repro.engine.db import connect, transaction
 from repro.engine.jobs import JobSpec
 from repro.errors import ReproError
 from repro.obs.metrics import REGISTRY
@@ -84,6 +88,8 @@ _LEASABLE = (PENDING, FAILED)
 _LEASABLE_SQL = "state IN ({})".format(", ".join(f"'{s}'" for s in _LEASABLE))
 #: States no transition ever leaves.
 TERMINAL = (DONE, DEAD)
+#: Job ids :meth:`JobQueue.poll` binds per query.
+_POLL_CHUNK = 500
 
 # Process-wide queue metric families, published at the mutation sites (the
 # cross-process truth lives in the queue file's own counters — see
@@ -267,17 +273,7 @@ class JobQueue:
         self.lease_seconds = float(lease_seconds)
         self.clock = clock
         self._lock = threading.RLock()
-        try:
-            self._conn = sqlite3.connect(
-                self.path, isolation_level=None, check_same_thread=False
-            )
-            if self.path != ":memory:":
-                self._conn.execute("PRAGMA journal_mode=WAL")
-                self._conn.execute("PRAGMA busy_timeout=5000")
-                self._conn.execute("PRAGMA synchronous=NORMAL")
-            self._conn.executescript(_SCHEMA)
-        except sqlite3.DatabaseError as exc:
-            raise ReproError(f"{self.path} is not a job queue: {exc}") from exc
+        self._conn = connect(self.path, _SCHEMA, "job queue")
 
     # ------------------------------------------------------------- lifecycle
 
@@ -294,19 +290,6 @@ class JobQueue:
     def __len__(self) -> int:
         with self._lock:
             return self._conn.execute("SELECT COUNT(*) FROM jobs").fetchone()[0]
-
-    @contextmanager
-    def _txn(self):
-        """A write transaction: leasing/sweeping must be atomic across
-        processes, and autocommit mode would let two workers SELECT the same
-        pending rows before either UPDATEs them."""
-        self._conn.execute("BEGIN IMMEDIATE")
-        try:
-            yield
-        except BaseException:
-            self._conn.execute("ROLLBACK")
-            raise
-        self._conn.execute("COMMIT")
 
     # --------------------------------------------------------------- enqueue
 
@@ -331,24 +314,24 @@ class JobQueue:
                 raise ReproError("enqueue of a raw payload needs an explicit key")
             payload = dict(spec)
         key_text = json.dumps(list(key))
+        payload_text = json.dumps(payload, sort_keys=True)
         budget = self.max_attempts if max_attempts is None else max(1, int(max_attempts))
-        with self._lock, self._txn():
+        with self._lock, transaction(self._conn):
             row = self._conn.execute(
                 "SELECT id, state, result FROM jobs WHERE key = ?", (key_text,)
             ).fetchone()
-            if row is not None:
-                job_id, state, result = row
-                return EnqueuedJob(
-                    job_id, state, json.loads(result) if result else None, False
+            if row is None:
+                now = self.clock()
+                cursor = self._conn.execute(
+                    "INSERT INTO jobs (key, payload, state, attempts, max_attempts,"
+                    " not_before, created_at, updated_at)"
+                    " VALUES (?, ?, ?, 0, ?, 0, ?, ?)",
+                    (key_text, payload_text, PENDING, budget, now, now),
                 )
-            now = self.clock()
-            cursor = self._conn.execute(
-                "INSERT INTO jobs (key, payload, state, attempts, max_attempts,"
-                " not_before, created_at, updated_at)"
-                " VALUES (?, ?, ?, 0, ?, 0, ?, ?)",
-                (key_text, json.dumps(payload, sort_keys=True), PENDING, budget, now, now),
-            )
-            self._bump("enqueued")
+                self._bump("enqueued")
+        if row is not None:
+            job_id, state, result = row
+            return EnqueuedJob(job_id, state, json.loads(result) if result else None, False)
         _M_ENQUEUED.inc()
         return EnqueuedJob(cursor.lastrowid, PENDING, None, True)
 
@@ -368,31 +351,30 @@ class JobQueue:
         processes) can never lease the same row while its lease is live.
         """
         seconds = self.lease_seconds if lease_seconds is None else float(lease_seconds)
-        granted: list[JobLease] = []
-        with self._lock, self._txn():
+        with self._lock, transaction(self._conn):
             now = self.clock()
             rows = self._conn.execute(_LEASE_SQL, (now, max(0, int(n)))).fetchall()
             deadline = now + seconds
-            for job_id, key_text, payload_text, attempts, budget in rows:
+            for job_id, *_ in rows:
                 self._conn.execute(
                     "UPDATE jobs SET state = ?, worker = ?, lease_deadline = ?,"
                     " attempts = attempts + 1, updated_at = ? WHERE id = ?",
                     (LEASED, worker_id, deadline, now, job_id),
                 )
-                granted.append(
-                    JobLease(
-                        job_id,
-                        tuple(json.loads(key_text)),
-                        json.loads(payload_text),
-                        attempts + 1,
-                        budget,
-                        deadline,
-                    )
-                )
-            if granted:
-                self._bump("leased", len(granted))
-        _M_LEASED.inc(len(granted))
-        return granted
+            if rows:
+                self._bump("leased", len(rows))
+        _M_LEASED.inc(len(rows))
+        return [
+            JobLease(
+                job_id,
+                tuple(json.loads(key_text)),
+                json.loads(payload_text),
+                attempts + 1,
+                budget,
+                deadline,
+            )
+            for job_id, key_text, payload_text, attempts, budget in rows
+        ]
 
     def extend(
         self,
@@ -411,7 +393,7 @@ class JobQueue:
             return 0
         seconds = self.lease_seconds if lease_seconds is None else float(lease_seconds)
         marks = ",".join("?" for _ in job_ids)
-        with self._lock, self._txn():
+        with self._lock, transaction(self._conn):
             now = self.clock()
             cursor = self._conn.execute(
                 f"UPDATE jobs SET lease_deadline = MAX(lease_deadline, ?),"
@@ -430,21 +412,18 @@ class JobQueue:
         the re-lease): its result is discarded, so re-executed jobs finish
         exactly once here.
         """
+        texts = {
+            job_id: json.dumps(result, sort_keys=True)
+            for job_id, result in results.items()
+        }
         done: list[int] = []
-        with self._lock, self._txn():
+        with self._lock, transaction(self._conn):
             now = self.clock()
-            for job_id, result in results.items():
+            for job_id, text in texts.items():
                 cursor = self._conn.execute(
                     "UPDATE jobs SET state = ?, result = ?, error = NULL,"
                     " updated_at = ? WHERE id = ? AND state = ? AND worker = ?",
-                    (
-                        DONE,
-                        json.dumps(result, sort_keys=True),
-                        now,
-                        job_id,
-                        LEASED,
-                        worker_id,
-                    ),
+                    (DONE, text, now, job_id, LEASED, worker_id),
                 )
                 if cursor.rowcount == 1:
                     done.append(job_id)
@@ -460,7 +439,7 @@ class JobQueue:
         backoff elapses; otherwise it goes ``dead`` with the error recorded.
         Same lease fencing as :meth:`complete`.
         """
-        with self._lock, self._txn():
+        with self._lock, transaction(self._conn):
             row = self._conn.execute(
                 "SELECT attempts, max_attempts FROM jobs"
                 " WHERE id = ? AND state = ? AND worker = ?",
@@ -502,9 +481,16 @@ class JobQueue:
         deadline passed is either returned to the leasable pool (budget
         permitting, with backoff) or declared ``dead``.  Returns how many
         leases were revoked.  Dispatchers run this periodically; ``repro
-        queue requeue`` runs it manually.
+        queue requeue`` runs it manually.  A sweep that finds nothing
+        expired is one read and takes no write lock.
         """
-        with self._lock, self._txn():
+        with self._lock:
+            if not self._conn.execute(
+                "SELECT 1 FROM jobs WHERE state = ? AND lease_deadline < ? LIMIT 1",
+                (LEASED, self.clock()),
+            ).fetchone():
+                return 0
+        with self._lock, transaction(self._conn):
             now = self.clock()
             rows = self._conn.execute(
                 "SELECT id, attempts, max_attempts FROM jobs"
@@ -541,7 +527,7 @@ class JobQueue:
 
     def resurrect_dead(self) -> int:
         """Give every ``dead`` job a fresh attempt budget (operator override)."""
-        with self._lock, self._txn():
+        with self._lock, transaction(self._conn):
             cursor = self._conn.execute(
                 "UPDATE jobs SET state = ?, attempts = 0, error = NULL,"
                 " not_before = 0, updated_at = ? WHERE state = ?",
@@ -555,17 +541,20 @@ class JobQueue:
         """Terminal outcomes among ``job_ids``: ``{id: (state, result, error)}``.
 
         Only ``done``/``dead`` rows are returned; the dispatcher's wait loop
-        calls this until every job it enqueued shows up.
+        calls this until every job it enqueued shows up.  The ids are bound
+        500 at a time, under every SQLite build's limit on host parameters
+        (999 before SQLite 3.32).
         """
-        if not job_ids:
-            return {}
-        marks = ",".join("?" for _ in job_ids)
+        rows = []
         with self._lock:
-            rows = self._conn.execute(
-                f"SELECT id, state, result, error FROM jobs"
-                f" WHERE id IN ({marks}) AND state IN (?, ?)",
-                (*job_ids, DONE, DEAD),
-            ).fetchall()
+            for first in range(0, len(job_ids), _POLL_CHUNK):
+                chunk = job_ids[first:first + _POLL_CHUNK]
+                marks = ",".join("?" for _ in chunk)
+                rows += self._conn.execute(
+                    f"SELECT id, state, result, error FROM jobs"
+                    f" WHERE id IN ({marks}) AND state IN (?, ?)",
+                    (*chunk, DONE, DEAD),
+                ).fetchall()
         return {
             job_id: (state, json.loads(result) if result else None, error)
             for job_id, state, result, error in rows

@@ -66,30 +66,29 @@ opening a file never does, because an older build may share it.
 peeks from its event loop while a batch wave writes from a worker thread)
 and between processes (several ``repro`` invocations pointing at the same
 ``--cache`` file).  Every public method serialises on an internal reentrant
-lock, the connection is opened with ``check_same_thread=False``, and
-file-backed stores run in SQLite's WAL journal mode with a busy timeout —
-readers never block the writer, and a second process retries instead of
-failing with ``database is locked``.  A verdict is one row: ``put`` is a
-single ``INSERT`` and so one commit.  ``clear`` and ``import_rows`` are one
-``BEGIN IMMEDIATE … COMMIT`` transaction each.  A lookup (``get``,
-``implied``, the bounds readers) takes no write lock and appends nothing to
-the WAL.
+lock, and :func:`repro.engine.db.connect` opens the file for use from any
+thread, in SQLite's WAL journal mode — readers never block the writer.  A
+write that finds another process holding the write lock retries in 0.1-2 ms
+steps for up to 5 s (SQLite's own busy handler would sleep 1, 2, 5, 10 …
+ms) and fails with ``database is locked`` only after that.  A verdict is
+one row: ``put`` is a single ``INSERT`` and so one commit.  ``clear`` and
+``import_rows`` are one :func:`repro.engine.db.transaction` (``BEGIN
+IMMEDIATE … COMMIT``) each.  A lookup (``get``, ``implied``, the bounds
+readers) takes no write lock and appends nothing to the WAL.
 """
 
 from __future__ import annotations
 
 import json
-import sqlite3
 import threading
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
 from repro.core.hypergraph import Hypergraph
 from repro.decomp.driver import NO, YES, CheckOutcome
 from repro.engine import methods as _methods
-from repro.errors import ReproError
+from repro.engine.db import connect, transaction
 from repro.io.json_io import decomposition_from_json, decomposition_to_json
 from repro.obs.metrics import REGISTRY
 
@@ -336,21 +335,7 @@ class ResultStore:
         self.session_implied = 0
         # Reentrant: public methods lock, then call other (locking) methods.
         self._lock = threading.RLock()
-        try:
-            self._conn = sqlite3.connect(
-                self.path, isolation_level=None, check_same_thread=False
-            )
-            if self.path != ":memory:":
-                # WAL lets concurrent readers proceed while one writer
-                # appends; the busy timeout makes a second *process* retry
-                # instead of raising "database is locked".  Both are no-ops
-                # conceptually for in-memory stores.
-                self._conn.execute("PRAGMA journal_mode=WAL")
-                self._conn.execute("PRAGMA busy_timeout=5000")
-                self._conn.execute("PRAGMA synchronous=NORMAL")
-            self._conn.executescript(_SCHEMA)
-        except sqlite3.DatabaseError as exc:
-            raise ReproError(f"{self.path} is not a result store: {exc}") from exc
+        self._conn = connect(self.path, _SCHEMA, "result store")
 
     # ------------------------------------------------------------- lifecycle
 
@@ -363,18 +348,6 @@ class ResultStore:
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
-
-    @contextmanager
-    def _txn(self):
-        """A write transaction: a call's statements commit together or not
-        at all."""
-        self._conn.execute("BEGIN IMMEDIATE")
-        try:
-            yield
-        except BaseException:
-            self._conn.execute("ROLLBACK")
-            raise
-        self._conn.execute("COMMIT")
 
     # ----------------------------------------------------------------- cache
 
@@ -474,7 +447,7 @@ class ResultStore:
         keeps in the file, so a cleared file holds nothing an older build
         could answer from.
         """
-        with self._lock, self._txn():
+        with self._lock, transaction(self._conn):
             self._conn.execute("DELETE FROM results")
             self._conn.execute("DELETE FROM meta")
             self._conn.execute("DROP TABLE IF EXISTS bounds")
@@ -690,7 +663,7 @@ class ResultStore:
         """
         if not rows:
             return
-        with self._lock, self._txn():
+        with self._lock, transaction(self._conn):
             self._conn.executemany(
                 "INSERT OR REPLACE INTO results"
                 " (fingerprint, method, k, timeout, verdict, seconds,"

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import contextlib
 import sqlite3
+import sys
 import threading
 
 import pytest
@@ -198,6 +199,35 @@ class TestQueueLifecycle:
         again = queue.lease("w", 1)[0]
         assert queue.complete("w", {again.job_id: {"verdict": "yes"}})
         assert queue.job(again.job_id)["error"] is None
+
+    def test_an_idle_sweep_takes_no_write_lock(self, triangle, fake_clock):
+        queue = JobQueue(clock=fake_clock)
+        queue.enqueue(JobSpec.check(triangle, 2))
+        lease = queue.lease("w", 1, lease_seconds=5)[0]
+        statements: list[str] = []
+        queue._conn.set_trace_callback(statements.append)
+        assert queue.requeue_expired() == 0
+        assert statements and all(s.startswith("SELECT") for s in statements)
+        fake_clock.advance(10)
+        assert queue.requeue_expired() == 1
+        queue._conn.set_trace_callback(None)
+        assert "BEGIN IMMEDIATE" in statements
+        assert queue.job(lease.job_id)["state"] == PENDING
+        assert queue.stats()["counters"]["expired"] == 1
+
+    @pytest.mark.skipif(
+        sys.version_info < (3, 11), reason="Connection.setlimit is new in 3.11"
+    )
+    def test_poll_stays_under_the_oldest_host_parameter_limit(self):
+        queue = JobQueue()
+        queue._conn.setlimit(sqlite3.SQLITE_LIMIT_VARIABLE_NUMBER, 999)
+        ids = [queue.enqueue({}, key=("job", i)).job_id for i in range(1000)]
+        leases = queue.lease("w", 1000)
+        assert len(leases) == 1000
+        queue.complete("w", {ids[0]: {"verdict": "yes"}, ids[-1]: {"verdict": "no"}})
+        done = queue.poll(ids)
+        assert sorted(done) == [ids[0], ids[-1]]
+        assert done[ids[-1]] == (DONE, {"verdict": "no"}, None)
 
     def test_resurrect_dead_restores_the_budget(self, triangle, fake_clock):
         queue = JobQueue(clock=fake_clock, max_attempts=1)
