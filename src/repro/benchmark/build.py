@@ -10,13 +10,6 @@ adjusts the totals.
 from __future__ import annotations
 
 from repro.benchmark.classes import BenchmarkClass
-from repro.benchmark.generators import (
-    generate_application_cqs,
-    generate_application_csps,
-    generate_other_csps,
-    generate_random_cqs,
-    generate_random_csps,
-)
 from repro.benchmark.repository import HyperBenchRepository
 
 __all__ = ["build_default_benchmark", "DEFAULT_CLASS_COUNTS"]
@@ -31,14 +24,6 @@ DEFAULT_CLASS_COUNTS: dict[BenchmarkClass, int] = {
     BenchmarkClass.CSP_OTHER: 8,
 }
 
-_GENERATORS = {
-    BenchmarkClass.CQ_APPLICATION: generate_application_cqs,
-    BenchmarkClass.CQ_RANDOM: generate_random_cqs,
-    BenchmarkClass.CSP_APPLICATION: generate_application_csps,
-    BenchmarkClass.CSP_RANDOM: generate_random_csps,
-    BenchmarkClass.CSP_OTHER: generate_other_csps,
-}
-
 
 def build_default_benchmark(
     scale: float = 1.0,
@@ -48,12 +33,12 @@ def build_default_benchmark(
     """Build the synthetic benchmark (deterministic in ``seed``).
 
     ``scale`` multiplies every class count (minimum 2 instances per class so
-    all experiment tables stay populated).  SQL-pipeline CQs are the corpus
-    manifest's ``sql`` family (:mod:`repro.experiment.corpus`).
+    all experiment tables stay populated).  The benchmark is the corpus of
+    :func:`~repro.experiment.corpus.default_manifest`, so every entry names
+    its generator family in ``extra["family"]``; SQL-pipeline CQs are that
+    manifest format's ``sql`` family.
     """
-    repository = HyperBenchRepository(name=name)
-    for benchmark_class, base_count in DEFAULT_CLASS_COUNTS.items():
-        count = max(2, round(base_count * scale))
-        for hypergraph in _GENERATORS[benchmark_class](count, seed=seed):
-            repository.add(hypergraph, benchmark_class)
-    return repository
+    # not at module level, or every `repro` command would load the pipeline
+    from repro.experiment.corpus import build_corpus, default_manifest
+
+    return build_corpus(default_manifest(scale, seed, name=name))

@@ -201,11 +201,11 @@ def ghd_portfolio(
     """The paper's portfolio (Table 4 protocol), simulated sequentially.
 
     Every registered portfolio algorithm runs in turn with the full timeout,
-    and :func:`portfolio_verdict` picks the verdict.  This is the race a
-    :class:`repro.engine.DecompositionEngine` runs for a portfolio job when
-    ``jobs == 1``; with ``jobs > 1`` it runs the same algorithms, each with
-    the same full budget, in parallel worker processes instead.  Returns
-    ``(portfolio_outcome, per_algorithm)``.
+    and :func:`portfolio_verdict` picks the verdict.  A
+    :class:`repro.engine.DecompositionEngine` runs a portfolio job's racers
+    as tasks of its batch wave instead (in turn in-process, or in worker
+    processes), each with the same full budget, and folds them by the same
+    rule.  Returns ``(portfolio_outcome, per_algorithm)``.
     """
     per_algorithm = {
         name: timed_check(fn, hypergraph, k, timeout)

@@ -9,13 +9,14 @@ check exactly as :func:`~repro.decomp.driver.timed_check` does), or in
 killable worker processes with hard timeouts when ``jobs > 1``.
 
 ``run_batch`` executes a list of :class:`~repro.engine.jobs.JobSpec` with a
-resumable journal, fanning cache-missed check jobs across the worker pool.
-A portfolio job races GlobalBIP / LocalBIP / BalSep — with ``jobs > 1`` in
-parallel worker processes (the paper's Table 4 setup: "run in parallel,
-first answer wins") — and its result carries each algorithm's outcome for
-Table 3.  At any ``jobs`` every racer gets the full budget and
-:func:`~repro.decomp.driver.portfolio_verdict` picks the verdict, so the
-stored row does not depend on ``jobs``.  That batch wave is the only one: a
+resumable journal.  A cold check job is one task and a cold portfolio job
+one task per racer (GlobalBIP / LocalBIP / BalSep); the wave's tasks run as
+one list, through at most ``jobs`` worker processes when ``jobs > 1`` and
+in turn otherwise.  :func:`~repro.decomp.driver.portfolio_verdict` folds a
+portfolio job's racers into the paper's Table 4 answer ("run in parallel,
+first answer wins"), and the job's result carries each algorithm's outcome
+for Table 3.  Every racer gets the full budget, so the stored row does not
+depend on ``jobs``.  That batch wave is the only one: a
 :class:`~repro.engine.remote.Dispatcher` runs it with the job queue
 executing the cold jobs, and the paper's protocols (:mod:`repro.analysis`)
 run as waves of it.
@@ -25,7 +26,8 @@ from __future__ import annotations
 
 import functools
 import threading
-from collections.abc import Callable, Iterator
+from collections import Counter
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -158,7 +160,13 @@ def _executed(
     winner: str | None = None,
     per_algorithm: dict[str, CheckOutcome] | None = None,
 ) -> JobResult:
-    """The result of a check or portfolio job the engine just executed."""
+    """The result of a check or portfolio job the engine just executed; a
+    portfolio job's telemetry is all its racers' (kernel counters summed)."""
+    counters, spans = outcome.counters, outcome.spans
+    if per_algorithm is not None:
+        racers = per_algorithm.values()
+        counters = dict(sum((Counter(o.counters or {}) for o in racers), Counter())) or None
+        spans = [s for o in racers for s in o.spans or ()] or None
     return JobResult(
         spec,
         outcome.verdict,
@@ -166,8 +174,8 @@ def _executed(
         outcome=outcome,
         winner=winner,
         per_algorithm=per_algorithm,
-        counters=outcome.counters,
-        spans=outcome.spans,
+        counters=counters,
+        spans=spans,
     )
 
 
@@ -212,8 +220,9 @@ class DecompositionEngine:
         Maximum concurrent worker processes.  ``1`` (default) keeps every
         check in-process with cooperative deadlines — the sequential
         fallback that preserves the library's historical behaviour;
-        ``> 1`` enables hard-timeout worker processes, the parallel
-        portfolio race, and batch fan-out.
+        ``> 1`` runs every cache-missed check (a direct ``check``, a wave's
+        check jobs and portfolio racers) in hard-timeout worker processes,
+        at most ``jobs`` at once.
     """
 
     def __init__(self, store: ResultStore | None = None, jobs: int = 1):
@@ -300,10 +309,32 @@ class DecompositionEngine:
             self.stats.book(requests=1, executed=1)
             if self.store is not None:
                 self.store.record(misses=1)
-            outcome = self._execute(method, hypergraph, k, timeout)
+            [outcome] = self._run_checks([(method, hypergraph, k, timeout)], [None])
             self._remember(fp, method, k, timeout, outcome)
             span.set(source="executed", verdict=outcome.verdict)
             return outcome
+
+    def _run_checks(
+        self,
+        tasks: Sequence[tuple[str, Hypergraph, int, float | None]],
+        traces: Sequence[tuple | None],
+    ) -> Iterator[CheckOutcome]:
+        """Run cache-missed ``(method, hypergraph, k, timeout)`` tasks, yielding
+        their outcomes in task order; the caller stores and books them.
+
+        With ``jobs > 1`` the list is one :func:`workers.map_checks` call (at
+        most ``jobs`` killable workers) whose outcomes arrive together; else
+        each task runs in turn through :meth:`_execute`.  ``traces[i]``
+        parents task ``i``'s ``worker.exec`` span (``None``: ambient).
+        """
+        if self.parallel:
+            ambient = TRACER.current_context()
+            yield from workers.map_checks(
+                tasks, self.jobs, traces=[trace or ambient for trace in traces]
+            )
+            return
+        for (method, hypergraph, k, timeout), trace in zip(tasks, traces):
+            yield self._execute(method, hypergraph, k, timeout, trace)
 
     def _execute(
         self,
@@ -311,18 +342,18 @@ class DecompositionEngine:
         hypergraph: Hypergraph,
         k: int,
         timeout: float | None,
+        trace: tuple | None = None,
     ) -> CheckOutcome:
-        """Dispatch one cache-missed check (worker process or in-process).
+        """Run one cache-missed check in this process (``jobs == 1``).
 
-        Both shapes produce a ``worker.exec`` span parented on the ambient
-        context and a kernel-counter delta on the outcome: the worker path
-        ships them back over the pipe, the in-process path measures them
-        here (``mode="inproc"``).  The caller books the execution.
+        Like a worker process, it records a ``worker.exec`` span parented on
+        ``trace`` (default: the ambient context; ``mode="inproc"``) and puts
+        its kernel-counter delta on the outcome.
         """
-        if self.parallel:
-            return workers.run_checked(method, hypergraph, k, timeout)
         before = _kernel_counters.snapshot()
-        with TRACER.span("worker.exec", method=method, k=k, mode="inproc") as span:
+        with TRACER.span(
+            "worker.exec", parent=trace, method=method, k=k, mode="inproc"
+        ) as span:
             outcome = timed_check(_methods.resolve(method), hypergraph, k, timeout)
             delta = _kernel_counters.delta_since(before)
             publish_delta(delta)
@@ -413,46 +444,6 @@ class DecompositionEngine:
                 return None
         return WidthResult(high, high, best.decomposition, timings)
 
-    # ------------------------------------------------------------- portfolio
-
-    def _race(
-        self,
-        fp: str,
-        hypergraph: Hypergraph,
-        k: int,
-        timeout: float | None,
-    ) -> tuple[CheckOutcome, str | None, dict[str, CheckOutcome]]:
-        """Run the portfolio race (no lookup, no booking) and store it.
-
-        Every racer runs with the full budget — in worker processes when
-        ``jobs > 1``, in turn otherwise.  Returns the verdict, the winner it
-        stores (``None`` when no racer answered) and every racer's outcome."""
-        portfolio_methods = _methods.portfolio_methods()
-        if self.parallel:
-            _, raced = workers.race_checks(
-                list(portfolio_methods.values()), hypergraph, k, timeout
-            )
-            per_algorithm = {
-                display: raced[registry]
-                for display, registry in portfolio_methods.items()
-            }
-        else:
-            _, per_algorithm = driver.ghd_portfolio(hypergraph, k, timeout)
-        best, winner = driver.portfolio_verdict(per_algorithm)
-
-        extra = {
-            "winner": winner,
-            "per": {name: [o.verdict, o.seconds] for name, o in per_algorithm.items()},
-        }
-        self._remember(fp, _PORTFOLIO_KEY, k, timeout, best, extra)
-        # Definite per-algorithm answers are genuine results; share them with
-        # plain check() callers.
-        for display, registry in portfolio_methods.items():
-            o = per_algorithm[display]
-            if o.answered:
-                self._remember(fp, registry, k, timeout, o)
-        return best, winner, per_algorithm
-
     # ----------------------------------------------------------------- batch
 
     @_locked
@@ -466,8 +457,8 @@ class DecompositionEngine:
         Jobs already present in the journal are skipped (``resumed``); the
         rest are answered from the store when possible (``cache_hits``) —
         including jobs *pruned* because a stored bound already implies their
-        verdict (``pruned``) — and executed otherwise.  Cache-missed
-        single-check jobs fan out across the worker pool when ``jobs > 1``.
+        verdict (``pruned``) — and executed otherwise.  Cache-missed check
+        jobs and portfolio racers share at most ``jobs`` worker processes.
         """
         return self._wave(specs, journal, self._run_cold)
 
@@ -552,21 +543,56 @@ class DecompositionEngine:
     def _run_cold(
         self, specs: list[JobSpec], cold: list[int]
     ) -> Iterator[tuple[int, JobResult]]:
-        """The in-process executor for :meth:`_wave`: cold single checks fan
-        across the worker pool when ``jobs > 1``; width sweeps and portfolio
-        races take their own engine paths (a race starts its own workers)."""
-        checks = [i for i in cold if specs[i].kind == CHECK]
-        if self.parallel and len(checks) > 1:
-            outcomes = workers.map_checks(
-                [(specs[i].method, specs[i].hypergraph, specs[i].k, specs[i].timeout) for i in checks],
-                self.jobs,
-                traces=[specs[i].trace or TRACER.current_context() for i in checks],
-            )
-            for i, outcome in zip(checks, outcomes):
-                yield i, self._checked(specs[i], outcome)
-            cold = [i for i in cold if specs[i].kind != CHECK]
+        """The in-process executor for :meth:`_wave`: a cold check job is one
+        task, a cold portfolio job one per racer, and the wave's tasks run
+        through :meth:`_run_checks` as one list, each job landing with its
+        last task (no second lookup: the wave books its replay peek as the
+        job's one miss).  The width sweeps then run in turn."""
+        racers = _methods.portfolio_methods()
+        checked = [i for i in cold if specs[i].kind != WIDTH]
+        tasks: list[tuple[str, Hypergraph, int, float | None]] = []
+        traces: list[tuple | None] = []
+        for i in checked:
+            spec = specs[i]
+            for method in racers.values() if spec.kind == PORTFOLIO else (spec.method,):
+                tasks.append((method, spec.hypergraph, spec.k, spec.timeout))
+                traces.append(spec.trace)
+        outcomes = self._run_checks(tasks, traces)
+        for i in checked:
+            spec = specs[i]
+            if spec.kind == CHECK:
+                yield i, self._checked(spec, next(outcomes))
+            else:
+                yield i, self._raced(spec, racers, {name: next(outcomes) for name in racers})
         for i in cold:
-            yield i, self._run_spec(specs[i])
+            spec = specs[i]
+            if spec.kind == WIDTH:
+                width_result = self.exact_width(
+                    spec.hypergraph, spec.max_k, spec.method, spec.timeout, trace=spec.trace
+                )
+                yield i, self._width_job_result(spec, width_result, cached=False)
+
+    def _raced(
+        self, spec: JobSpec, racers: dict[str, str], per_algorithm: dict[str, CheckOutcome]
+    ) -> JobResult:
+        """Store a portfolio job's race and wrap it as its result.
+
+        The ``portfolio`` row keeps the winner (``None`` when no racer
+        answered) and every racer's verdict and seconds; each definite racer
+        answer is stored under its own method too, for ``check()`` callers.
+        """
+        best, winner = driver.portfolio_verdict(per_algorithm)
+        fp, k, timeout = spec.fingerprint, spec.k, spec.timeout
+        extra = {
+            "winner": winner,
+            "per": {name: [o.verdict, o.seconds] for name, o in per_algorithm.items()},
+        }
+        self._remember(fp, _PORTFOLIO_KEY, k, timeout, best, extra)
+        for display, registry in racers.items():
+            outcome = per_algorithm[display]
+            if outcome.answered:
+                self._remember(fp, registry, k, timeout, outcome)
+        return _executed(spec, best, winner, per_algorithm)
 
     # ------------------------------------------------------------ batch bits
 
@@ -714,27 +740,3 @@ class DecompositionEngine:
         """Store an executed check job's outcome and wrap it as its result."""
         self._remember(spec.fingerprint, spec.method, spec.k, spec.timeout, outcome)
         return _executed(spec, outcome)
-
-    def _run_spec(self, spec: JobSpec) -> JobResult:
-        # Only reached after _replay_from_cache missed (a peek that books
-        # nothing), so check and portfolio jobs execute without a second
-        # lookup; the wave books the peek as their one miss.  The spec's
-        # trace context (if the submitting request carried one) becomes
-        # ambient, so the engine / worker spans below land in that request's
-        # trace instead of the wave's.
-        with TRACER.attach(spec.trace):
-            if spec.kind == CHECK:
-                return self._checked(
-                    spec, self._execute(spec.method, spec.hypergraph, spec.k, spec.timeout)
-                )
-            if spec.kind == PORTFOLIO:
-                with TRACER.span("engine.portfolio", k=spec.k) as span:
-                    outcome, winner, per_algorithm = self._race(
-                        spec.fingerprint, spec.hypergraph, spec.k, spec.timeout
-                    )
-                    span.set(verdict=outcome.verdict)
-                return _executed(spec, outcome, winner, per_algorithm)
-            width_result = self.exact_width(
-                spec.hypergraph, spec.max_k, spec.method, spec.timeout
-            )
-            return self._width_job_result(spec, width_result, cached=False)

@@ -25,7 +25,7 @@ from repro.decomp.driver import CheckOutcome, WidthResult
 from repro.engine.fingerprint import fingerprint as _content_fingerprint
 from repro.engine.store import timeout_key
 
-__all__ = ["JobSpec", "JobResult", "Journal"]
+__all__ = ["JobSpec", "JobResult", "Journal", "append_record"]
 
 CHECK = "check"
 WIDTH = "width"
@@ -198,6 +198,23 @@ class JobResult:
         )
 
 
+def append_record(path: Path, record: dict) -> None:
+    """Append ``record`` to a JSONL file as one line, ending a torn tail first.
+
+    A crash can leave a last line without its newline; a record written
+    straight after it would share that line, and the next load would drop
+    both.  Ended first, the fragment is a damaged line of its own, which a
+    load skips.
+    """
+    line = json.dumps(record, sort_keys=True).encode("utf-8") + b"\n"
+    with open(path, "a+b") as handle:
+        if handle.seek(0, 2):
+            handle.seek(-1, 2)
+            if handle.read(1) != b"\n":
+                line = b"\n" + line
+        handle.write(line)
+
+
 class Journal:
     """An append-only JSONL record of finished jobs.
 
@@ -239,7 +256,5 @@ class Journal:
         return records
 
     def append(self, spec: JobSpec, result: JobResult) -> None:
-        """Write one finished job; flushed immediately so kills lose ≤ 1 line."""
-        record = {"key": list(spec.key()), "result": result.payload()}
-        with self.path.open("a", encoding="utf-8") as handle:
-            handle.write(json.dumps(record, sort_keys=True) + "\n")
+        """Write one finished job (:func:`append_record`)."""
+        append_record(self.path, {"key": list(spec.key()), "result": result.payload()})

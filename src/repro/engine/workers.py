@@ -7,15 +7,14 @@ Running each attempt in its own worker process lets the parent *kill* the
 worker when the wall-clock budget is gone — the paper's cluster runs enforce
 their 3600 s timeouts the same way.
 
-Three execution shapes are provided:
-
-* :func:`run_checked` — one attempt in one worker, killed at
-  ``timeout + grace``;
-* :func:`race_checks` — the Table 4 portfolio: one worker per algorithm,
-  each with the full budget, judged by
-  :func:`~repro.decomp.driver.portfolio_verdict`;
-* :func:`map_checks` — a task list streamed through at most ``jobs``
-  concurrent workers, each with its own hard budget.
+:func:`map_checks` streams a task list through at most ``jobs``
+concurrent workers, each with its own hard budget, killed at
+``timeout + grace``.  It is what the engine calls: a direct check is a
+one-task list, and a batch wave's cold check jobs and portfolio racers
+are one list together.  Two public shapes remain for callers of their
+own: :func:`run_checked` (one attempt in one worker) and
+:func:`race_checks` (one worker per algorithm at once, judged by
+:func:`~repro.decomp.driver.portfolio_verdict`).
 
 All three run through one loop, :func:`_check_pool` — the only code here
 that starts workers, waits on their pipes, kills overdue ones and reaps

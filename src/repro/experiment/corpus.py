@@ -12,11 +12,10 @@ its seed, and every instance is content-addressed downstream by its engine
 fingerprint (:func:`repro.engine.fingerprint.fingerprint`), which is how the
 runner detects manifest/generator drift on resume.
 
-:func:`default_manifest` mirrors :func:`repro.benchmark.build.
-build_default_benchmark` exactly (same per-class counts, same seeds, same
-order), so the default corpus is the default benchmark: ``repro experiment
-run`` at the default manifest runs the study over the corpus ``repro
-benchmark`` exports.
+:func:`repro.benchmark.build.build_default_benchmark` builds the corpus of
+:func:`default_manifest`, so the default corpus is the default benchmark:
+``repro experiment run`` at the default manifest runs the study over the
+corpus ``repro benchmark`` exports.
 
 >>> manifest = default_manifest(scale=0.05, seed=7)
 >>> [s.family for s in manifest.sections]
@@ -345,8 +344,7 @@ class Manifest:
         return self.frac_timeout if self.frac_timeout is not None else self.timeout
 
 
-#: Class order of the default benchmark; the manifest must add sections in
-#: exactly this order so instance iteration matches ``build_default_benchmark``.
+#: The corpus family of each default benchmark class.
 _DEFAULT_FAMILIES: dict[BenchmarkClass, str] = {
     BenchmarkClass.CQ_APPLICATION: "cq_application",
     BenchmarkClass.CQ_RANDOM: "cq_random",
@@ -364,11 +362,11 @@ def default_manifest(
     max_k: int = 6,
     deterministic: bool = True,
 ) -> Manifest:
-    """A manifest whose corpus equals ``build_default_benchmark(scale, seed)``.
+    """The default benchmark's manifest: ``build_default_benchmark(scale,
+    seed)`` is its corpus.
 
-    Counts, seeds, generator order and the minimum-two-per-class floor all
-    mirror the default build, so the experiment's tables at this manifest
-    describe the same instances ``build_default_benchmark`` returns.
+    One section per benchmark class, in ``DEFAULT_CLASS_COUNTS`` order, each
+    ``scale`` times the class count (at least two), all at ``seed``.
     """
     sections = [
         CorpusSection(_DEFAULT_FAMILIES[cls], max(2, round(base * scale)))

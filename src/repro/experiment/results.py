@@ -34,6 +34,7 @@ from repro.analysis.hw_analysis import run_hw_analysis
 from repro.benchmark.repository import HyperBenchRepository
 from repro.core.properties import HypergraphStatistics, compute_statistics
 from repro.engine.engine import DecompositionEngine
+from repro.engine.jobs import PORTFOLIO
 from repro.engine.shards import open_result_store
 from repro.experiment.corpus import Manifest, build_corpus
 from repro.experiment.runner import (
@@ -88,23 +89,26 @@ class _ReplayEngine(DecompositionEngine):
         super().__init__(store=store, jobs=1)
         self.strict = strict
 
-    def _execute(self, method, hypergraph, k, timeout):
+    def _execute(self, method, hypergraph, k, timeout, trace=None):
         if self.strict:
             raise ExperimentError(
                 f"no stored result for {method} k={k} on {hypergraph.name!r} "
                 "— the experiment is incomplete; `repro experiment resume` "
                 "it or read it with partial=True"
             )
-        return super()._execute(method, hypergraph, k, timeout)
+        return super()._execute(method, hypergraph, k, timeout, trace)
 
-    def _race(self, fp, hypergraph, k, timeout):
-        if self.strict:
+    def _run_cold(self, specs, cold):
+        # a portfolio job's racers would reach _execute by their own method
+        # names; name the missing race instead
+        races = [specs[i] for i in cold if specs[i].kind == PORTFOLIO]
+        if self.strict and races:
             raise ExperimentError(
-                f"no stored portfolio verdict for k={k} on "
-                f"{hypergraph.name!r} — the experiment is incomplete; "
+                f"no stored portfolio verdict for k={races[0].k} on "
+                f"{races[0].hypergraph.name!r} — the experiment is incomplete; "
                 "`repro experiment resume` it or read it with partial=True"
             )
-        return super()._race(fp, hypergraph, k, timeout)
+        return super()._run_cold(specs, cold)
 
 
 class ExperimentResults:

@@ -41,7 +41,7 @@ from repro.analysis.hw_analysis import run_hw_analysis
 from repro.benchmark.repository import HyperBenchRepository
 from repro.core.properties import HypergraphStatistics, compute_statistics
 from repro.engine.fingerprint import fingerprint
-from repro.engine.jobs import JobSpec, Journal
+from repro.engine.jobs import JobSpec, Journal, append_record
 from repro.errors import ReproError
 from repro.experiment.corpus import Manifest, build_corpus
 
@@ -121,18 +121,7 @@ class MetaJournal:
 
     def append(self, record: dict) -> None:
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        with open(self.path, "ab") as handle:
-            # A crash can leave a torn tail with no newline; terminate it so
-            # the new record starts on its own line (the torn fragment stays
-            # in place and is skipped by load(), like any damaged line).
-            if handle.tell() > 0:
-                with open(self.path, "rb") as peek:
-                    peek.seek(-1, 2)
-                    torn = peek.read(1) != b"\n"
-                if torn:
-                    handle.write(b"\n")
-            handle.write(json.dumps(record, sort_keys=True).encode() + b"\n")
-            handle.flush()
+        append_record(self.path, record)
 
 
 @dataclass

@@ -30,8 +30,10 @@ from repro.engine import (
     structural_fingerprint,
 )
 from repro.benchmark.build import build_default_benchmark
+from repro.engine import workers
 from repro.errors import ReproError
 from repro.io.json_io import decomposition_from_json, decomposition_to_json
+from repro.obs.trace import TRACER
 from tests.conftest import clique_hypergraph, cycle_hypergraph, random_hypergraph
 
 
@@ -375,6 +377,18 @@ class TestBatch:
         final = DecompositionEngine().run_batch(specs, journal=journal)
         assert final.resumed == len(specs)
 
+    def test_a_tail_without_newline_keeps_the_next_record(self, tmp_path, triangle):
+        """A kill can cut the journal's last newline; the next job written
+        must still land on a line of its own, not merged into that one."""
+        journal = tmp_path / "sweep.jsonl"
+        specs = [JobSpec.check(triangle, 1), JobSpec.check(triangle, 2)]
+        DecompositionEngine().run_batch(specs[:1], journal=journal)
+        journal.write_text(journal.read_text(encoding="utf-8").rstrip("\n"), encoding="utf-8")
+        report = DecompositionEngine().run_batch(specs, journal=journal)
+        assert (report.resumed, report.executed) == (1, 1)
+        final = DecompositionEngine().run_batch(specs, journal=journal)
+        assert (final.resumed, final.executed) == (2, 0)
+
     def test_only_exact_portfolio_replays_carry_per_algorithm_outcomes(self, triangle):
         """Table 3 honesty: an exact replay carries every racer's verdict and
         the winner; a verdict implied by the race at another k carries
@@ -418,6 +432,73 @@ class TestBatch:
         record = json.loads(lines[0])
         assert record["result"]["verdict"] == YES
         assert Journal(journal).load() != {}
+
+
+class TestOneColdPath:
+    """A wave's cold check jobs and portfolio racers are one task list."""
+
+    def test_a_wave_runs_one_pool_of_at_most_jobs_workers(
+        self, monkeypatch, triangle, path3, cycle6
+    ):
+        calls = []
+        alive = peak = 0
+        real_map, real_race = workers.map_checks, workers.race_checks
+        real_spawn, real_reap = workers._spawn, workers._reap
+
+        def map_checks(tasks, *args, **kwargs):
+            calls.append(("map_checks", len(tasks)))
+            return real_map(tasks, *args, **kwargs)
+
+        def race_checks(methods, *args, **kwargs):
+            calls.append(("race_checks", len(methods)))
+            return real_race(methods, *args, **kwargs)
+
+        def spawn(*args):
+            nonlocal alive, peak
+            started = real_spawn(*args)
+            alive += 1
+            peak = max(peak, alive)
+            return started
+
+        def reap(process):
+            nonlocal alive
+            real_reap(process)
+            alive -= 1
+
+        monkeypatch.setattr(workers, "map_checks", map_checks)
+        monkeypatch.setattr(workers, "race_checks", race_checks)
+        monkeypatch.setattr(workers, "_spawn", spawn)
+        monkeypatch.setattr(workers, "_reap", reap)
+        specs = [
+            JobSpec.portfolio(triangle, 2, timeout=30.0),
+            JobSpec.check(triangle, 1, timeout=30.0),
+            JobSpec.portfolio(cycle6, 1, timeout=30.0),
+            JobSpec.check(path3, 1, timeout=30.0),
+            JobSpec.check(cycle6, 2, timeout=30.0),
+        ]
+        report = DecompositionEngine(jobs=2).run_batch(specs)
+        assert calls == [("map_checks", 9)]
+        assert (peak, alive) == (2, 0)
+        assert [r.verdict for r in report.results] == [YES, NO, NO, YES, YES]
+        assert report.results[0].winner in {"GlobalBIP", "LocalBIP", "BalSep"}
+        assert {o.verdict for o in report.results[2].per_algorithm.values()} == {NO}
+
+    def test_in_process_racers_are_traced_and_counted(self, triangle):
+        TRACER.clear()
+        with TRACER.span("test.root") as root:
+            spec = JobSpec.portfolio(triangle, 2, trace=root.context)
+            (result,) = DecompositionEngine(jobs=1).run_batch([spec]).results
+        execs = [
+            r for r in TRACER.spans()
+            if r["name"] == "worker.exec" and r["trace_id"] == root.trace_id
+        ]
+        assert sorted(r["attrs"]["method"] for r in execs) == [
+            "balsep", "globalbip", "localbip"
+        ]
+        assert {r["attrs"]["mode"] for r in execs} == {"inproc"}
+        assert {r["parent_id"] for r in execs} == {root.span_id}
+        assert result.verdict == YES
+        assert result.counters and sum(result.counters.values()) > 0
 
 
 # ------------------------------------------------------- rewired entry points

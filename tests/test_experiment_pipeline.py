@@ -27,7 +27,6 @@ import pytest
 import hypothesis.strategies as st
 from hypothesis import HealthCheck, given, settings
 
-from repro.benchmark.build import build_default_benchmark
 from repro.core.properties import compute_statistics
 from repro.engine import DecompositionEngine, Dispatcher, JobQueue, QueueWorker
 from repro.engine.shards import open_result_store
@@ -41,7 +40,6 @@ from repro.experiment import (
     Manifest,
     MetaJournal,
     build_corpus,
-    default_manifest,
     experiment_status,
     render_csv,
     render_html,
@@ -116,16 +114,6 @@ def tiny_report(tiny_experiment) -> dict[str, str]:
 
 
 class TestCorpus:
-    def test_default_corpus_equals_default_benchmark(self):
-        manifest = default_manifest(scale=0.05, seed=7)
-        corpus = build_corpus(manifest)
-        benchmark = build_default_benchmark(scale=0.05, seed=7)
-        assert len(corpus) == len(benchmark)
-        for mine, theirs in zip(corpus, benchmark):
-            assert mine.name == theirs.name
-            assert mine.benchmark_class == theirs.benchmark_class
-            assert mine.hypergraph.edges == theirs.hypergraph.edges
-
     def test_corpus_is_deterministic(self):
         a = build_corpus(TINY_MANIFEST)
         b = build_corpus(TINY_MANIFEST)
