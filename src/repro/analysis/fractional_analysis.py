@@ -12,40 +12,31 @@ Improvements ``c = k − fractional_width`` are bucketed exactly like the
 paper's columns: ``c ≥ 1``, ``c ∈ [0.5, 1)``, ``c ∈ [0.1, 0.5)``, "no"
 (c < 0.1) and timeouts.
 
-The bisection of a cold entry is seeded with the ``ImproveHD`` width
-reached from the stored HD.  With a :class:`repro.engine.DecompositionEngine`
-the study is also store-backed: the Figure 4 HD is replayed from the result
-store when the repository lacks it (so the study runs against a warm store
-even in a fresh process), and finished ``FracImproveHD`` verdicts are cached
-under the ``fracimprove`` method key (feeding the bounds index — the search
-is monotone in k) and replayed on later runs.  The
-experiment runner's frac phase runs the same searches as ``run_batch``
-waves of killable workers with hard timeouts — the cluster semantics the
-paper's Table 6 reports — and this study then replays them from the store.
+Table 6 runs as one batch wave of ``fracimprove`` check jobs, one per
+instance whose hw is among the studied values, through a ``run_batch(specs)
+-> BatchReport`` executor (see :mod:`repro.analysis.hw_analysis`): the
+experiment runner's journalled one, or the results view's store replay.
+A store implies no "yes" for ``fracimprove``: Table 6 reports the best
+width reachable *at this k*, which a smaller k's FHD may understate.
+Table 5 is polynomial and deterministic, so it is computed in-process from
+the stashed HDs.
 """
 
 from __future__ import annotations
 
-import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from repro.benchmark.repository import BenchmarkEntry, HyperBenchRepository
-from repro.decomp.driver import NO, TIMEOUT, YES, CheckOutcome
-from repro.decomp.fractional import (
-    DEFAULT_PRECISION,
-    FRACTIONAL_TOLERANCE,
-    best_fractional_improvement,
-    improve_hd,
-)
-from repro.engine.fingerprint import fingerprint
-from repro.errors import DeadlineExceeded
-from repro.utils.deadline import Deadline
+from repro.decomp.driver import NO, TIMEOUT
+from repro.decomp.fractional import FRACTIONAL_TOLERANCE, improve_hd
+from repro.engine.engine import BatchReport, DecompositionEngine
+from repro.engine.jobs import JobResult, JobSpec
 
 __all__ = [
     "ImprovementCell",
     "FractionalAnalysis",
     "run_fractional_analysis",
-    "frac_improve_outcome",
     "bucket",
 ]
 
@@ -102,143 +93,58 @@ class FractionalAnalysis:
         return target[k]
 
 
-def _booked_get(store, hypergraph, method: str, k: int, timeout, bounds: bool = True):
-    """Look one key up in ``store`` and book the lookup as a hit or a miss."""
-    stored = store.get(fingerprint(hypergraph), method, k, timeout, bounds)
-    if stored is None:
-        store.record(misses=1)
-    else:
-        store.record(hits=1, implied=int(stored.implied))
-    return stored
-
-
-def _stored_hd(store, hypergraph, k: int, timeout: float | None):
-    """Replay the Figure 4 HD from the result store (warm start), or ``None``.
-
-    A bounds-implied "yes" qualifies too: its witnessing decomposition has
-    width ≤ k by monotonicity.
-    """
-    stored = _booked_get(store, hypergraph, "hd", k, timeout)
-    if stored is None or stored.verdict != YES:
-        return None
-    return stored.outcome(hypergraph).decomposition
-
-
 def _record_frac(
     analysis: FractionalAnalysis,
     entry: BenchmarkEntry,
     k: int,
-    outcome: CheckOutcome,
+    result: JobResult,
 ) -> None:
-    """Book one Table 6 outcome (live or store-replayed)."""
-    if outcome.verdict == TIMEOUT:
+    """Book one Table 6 answer (executed or store-replayed)."""
+    if result.verdict == TIMEOUT:
         analysis.cell("frac", k).record("timeout")
         return
-    if outcome.verdict == NO or outcome.decomposition is None:
+    # a journal-resumed or queue-run job carries no live outcome
+    fhd = result.outcome.decomposition if result.outcome is not None else None
+    if result.verdict == NO or fhd is None:
         analysis.cell("frac", k).record("no")
         return
-    width = outcome.decomposition.width
-    analysis.cell("frac", k).record(bucket(k - width))
-    entry.fhw_high = min(entry.fhw_high or float(k), width)
-
-
-def frac_improve_outcome(
-    hypergraph,
-    k: int,
-    timeout: float | None = None,
-    precision: float = DEFAULT_PRECISION,
-    store=None,
-    upper_seed: float | None = None,
-) -> CheckOutcome:
-    """Store-backed ``FracImproveHD`` for one instance.
-
-    Replays an exact-k row from ``store`` when present (the lookup books
-    the hit or miss), otherwise runs the bisection in-process —
-    warm-started by ``upper_seed`` — and persists the outcome.  Only exact-k
-    rows are replayed (``bounds=False``): a bounds-implied "yes" from a
-    smaller k carries a width that is achievable at this k but possibly not
-    the best reachable, so quality-sensitive callers must not mistake it
-    for this k's optimum.  The store key carries
-    no precision dimension, so only default-precision runs consult or
-    populate the store; any other ``precision`` computes live — a coarse
-    cached width must never masquerade as a finer bisection's answer.
-    """
-    cacheable = store is not None and precision == DEFAULT_PRECISION
-    if cacheable:
-        stored = _booked_get(store, hypergraph, FRAC_METHOD, k, timeout, bounds=False)
-        if stored is not None:
-            return stored.outcome(hypergraph)
-    deadline = Deadline(timeout)
-    start = time.perf_counter()
-    try:
-        best = best_fractional_improvement(
-            hypergraph,
-            k,
-            precision=precision,
-            deadline=deadline,
-            upper_seed=upper_seed,
-        )
-    except DeadlineExceeded:
-        outcome = CheckOutcome(TIMEOUT, time.perf_counter() - start)
-    else:
-        elapsed = time.perf_counter() - start
-        if best is None:  # pragma: no cover - a stored HD guarantees success
-            outcome = CheckOutcome(NO, elapsed)
-        else:
-            outcome = CheckOutcome(YES, elapsed, best)
-    if cacheable:
-        store.put(fingerprint(hypergraph), FRAC_METHOD, k, timeout, outcome)
-    return outcome
+    analysis.cell("frac", k).record(bucket(k - fhd.width))
+    entry.fhw_high = min(entry.fhw_high or float(k), fhd.width)
 
 
 def run_fractional_analysis(
     repository: HyperBenchRepository,
     hw_values: tuple[int, ...] = (2, 3, 4, 5, 6),
     timeout: float | None = 2.0,
-    precision: float = DEFAULT_PRECISION,
-    engine: "object | None" = None,
+    run_batch: Callable[[list[JobSpec]], BatchReport] | None = None,
 ) -> FractionalAnalysis:
-    """Run both improvement algorithms over all instances with a stored HD.
+    """Run both improvement algorithms over the instances with a known HD.
 
-    Every cold bisection is seeded with the entry's Table 5 width.  Without
-    an ``engine`` each search runs in-process.  With one, every Table 6
-    verdict goes through the engine's result store (``fracimprove`` rows
-    replay instantly on warm runs) and missing HDs are recovered from
-    cached Figure 4 verdicts.  Only exact-k rows replay: Table 6 reports the
-    best width reachable *at this k*, which a smaller k's witness may
-    understate.  Store rows are only valid at the default bisection
-    precision (the key has no precision dimension), so a non-default
-    ``precision`` computes every entry in-process and bypasses the cache —
-    a coarse cached width never masquerades as a finer answer.
+    ``run_batch`` executes the Table 6 wave, one ``fracimprove`` check at
+    each instance's hw; the default is a fresh in-process engine with no
+    store.  The tables are filled over the instances whose HD the Figure 4
+    sweep stashed in ``entry.extra["hd"]``.
     """
+    run_batch = run_batch or DecompositionEngine().run_batch
     analysis = FractionalAnalysis()
-    store = getattr(engine, "store", None)
-    for entry in repository:
-        k = entry.hw_high
-        if k is None or k not in hw_values:
-            continue
+    entries = [e for e in repository if e.hw_high in hw_values]
+    if not entries:
+        return analysis
+    report = run_batch(
+        [
+            JobSpec.check(e.hypergraph, e.hw_high, method=FRAC_METHOD, timeout=timeout)
+            for e in entries
+        ]
+    )
+    for entry, result in zip(entries, report.results):
         hd = entry.extra.get("hd")
-        if hd is None and store is not None:
-            hd = _stored_hd(store, entry.hypergraph, k, timeout)
-            if hd is not None:
-                entry.extra["hd"] = hd
         if hd is None:
             continue
-
+        k = entry.hw_high
         # Table 5: ImproveHD on the stored decomposition (poly-time; the
         # paper reports zero timeouts for it).
         fhd = improve_hd(hd)
         analysis.cell("improve", k).record(bucket(k - fhd.width))
         entry.fhw_high = min(entry.fhw_high or float(k), fhd.width)
-
-        # Table 6: FracImproveHD under a timeout.
-        outcome = frac_improve_outcome(
-            entry.hypergraph,
-            k,
-            timeout,
-            precision=precision,
-            store=store,
-            upper_seed=fhd.width,
-        )
-        _record_frac(analysis, entry, k, outcome)
+        _record_frac(analysis, entry, k, result)
     return analysis

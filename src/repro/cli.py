@@ -72,7 +72,6 @@ from pathlib import Path
 from repro.benchmark.build import build_default_benchmark
 from repro.benchmark.report import write_html_report
 from repro.core.properties import compute_statistics
-from repro.decomp.fractional import DEFAULT_PRECISION, best_fractional_improvement
 from repro.engine import CHECK_METHODS, DecompositionEngine, open_result_store
 from repro.engine import methods as _methods
 from repro.errors import ReproError
@@ -152,19 +151,9 @@ def build_parser() -> argparse.ArgumentParser:
     fractional.add_argument("file", type=Path)
     fractional.add_argument("-k", type=int, required=True, help="starting integral width")
     fractional.add_argument("--timeout", type=float, default=None)
-    fractional.add_argument(
-        "--precision", type=float, default=DEFAULT_PRECISION,
-        help=(
-            "bisection precision for FracImproveHD (non-default values "
-            "bypass the result store; ignored with --jobs > 1)"
-        ),
-    )
     _add_engine_flags(
         fractional,
-        cache_help=(
-            "SQLite result store; HD and FracImproveHD verdicts are cached, "
-            "replayed, and reused as warm-start seeds"
-        ),
+        cache_help="SQLite result store; HD and FracImproveHD verdicts are cached and replayed",
     )
 
     benchmark = sub.add_parser("benchmark", help="build the synthetic benchmark")
@@ -458,6 +447,9 @@ def _cmd_decompose(args) -> int:
     h = read_hypergraph(args.file)
     with _make_engine(args) as engine:
         outcome = engine.check(h, args.k, method=args.algorithm, timeout=args.timeout)
+        frac = None
+        if args.improve and outcome.decomposition is not None:
+            frac = engine.check(h, args.k, method="fracimprove", timeout=args.timeout)
     if outcome.verdict == "timeout":
         print(f"timeout after {outcome.seconds:.1f}s", file=sys.stderr)
         return 2
@@ -491,10 +483,11 @@ def _cmd_decompose(args) -> int:
         print(f"{decomposition.kind} of width {decomposition.integral_width} "
               f"({len(decomposition)} nodes, {outcome.seconds:.3f}s)")
         _print_tree(decomposition.root)
-    if args.improve:
-        best = best_fractional_improvement(h, args.k)
-        if best is not None:
-            print(f"best fractional improvement: width {best.width:.3f}")
+    if frac is not None:
+        if frac.verdict == "timeout":
+            print(f"best fractional improvement: timeout after {frac.seconds:.1f}s")
+        elif frac.decomposition is not None:
+            print(f"best fractional improvement: width {frac.decomposition.width:.3f}")
     return 0
 
 
@@ -507,7 +500,6 @@ def _print_tree(node, indent: int = 0) -> None:
 
 
 def _cmd_fractional(args) -> int:
-    from repro.analysis.fractional_analysis import frac_improve_outcome
     from repro.decomp.fractional import improve_hd
 
     h = read_hypergraph(args.file)
@@ -523,27 +515,10 @@ def _cmd_fractional(args) -> int:
             print(f"no HD of width <= {args.k} exists")
             return 1
         print(f"hw({h.name}) <= {args.k}")
-        seed = None
         if hd_outcome.decomposition is not None:
             fhd = improve_hd(hd_outcome.decomposition)
-            seed = fhd.width
             print(f"ImproveHD width      {fhd.width:.3f}")
-        if engine.parallel:
-            # killable worker with a hard timeout; verdicts replay from
-            # the store (a bounds-implied replay reports a width achieved
-            # at a smaller k — an upper bound on this k's optimum)
-            frac = engine.check(h, args.k, method="fracimprove", timeout=args.timeout)
-        else:
-            # in-process run (cache-backed with --cache), warm-started
-            # with the ImproveHD width of the HD found above
-            frac = frac_improve_outcome(
-                h,
-                args.k,
-                timeout=args.timeout,
-                precision=args.precision,
-                store=engine.store,
-                upper_seed=seed,
-            )
+        frac = engine.check(h, args.k, method="fracimprove", timeout=args.timeout)
         if frac.verdict == "timeout":
             print(f"FracImproveHD        timeout after {frac.seconds:.1f}s")
             return 0

@@ -36,10 +36,10 @@ __all__ = [
 #: Numeric slack when comparing LP optima against thresholds.
 FRACTIONAL_TOLERANCE = 1e-6
 
-#: Default bisection precision of :func:`best_fractional_improvement`.
-#: Cached ``fracimprove`` results are only valid at this precision (the
-#: store key carries no precision dimension), so store-backed callers
-#: bypass the cache for any other value.
+#: Default bisection precision of :func:`best_fractional_improvement`, and
+#: the one the engine's ``fracimprove`` method (:func:`check_frac_best`)
+#: runs at: the store key carries no precision dimension, so another
+#: precision is a library call, never a cached row.
 DEFAULT_PRECISION = 0.1
 
 
@@ -112,30 +112,17 @@ def best_fractional_improvement(
     k: int,
     precision: float = DEFAULT_PRECISION,
     deadline: Deadline | None = None,
-    upper_seed: float | None = None,
 ) -> Decomposition | None:
     """Minimise k′ over fractionally improved HDs of integral width ≤ k.
 
     Bisects the threshold k′ down to ``precision``, reusing one LP cache
     across probes.  Returns the best FHD found, or ``None`` when not even
     ``k′ = k`` admits an HD (i.e. ``Check(HD, k)`` itself fails).
-
-    ``upper_seed`` warm-starts the bisection with an already-achieved
-    fractional width (e.g. ``improve_hd`` applied to a stored HD from the
-    Figure 4 sweep): the first probe runs at ``min(k, upper_seed)`` instead
-    of the full ``k``, shrinking the initial interval.  A seed the filtered
-    search cannot reproduce falls back to the unseeded first probe, so a
-    stale seed costs one probe but never changes the answer's validity.
     """
     deadline = deadline or Deadline.unlimited()
     cache = _BagWeightCache(hypergraph)
 
-    start = float(k) if upper_seed is None else min(float(k), float(upper_seed))
-    best = check_frac_improved(hypergraph, k, start, deadline=deadline, cache=cache)
-    if best is None and start < float(k):
-        best = check_frac_improved(
-            hypergraph, k, float(k), deadline=deadline, cache=cache
-        )
+    best = check_frac_improved(hypergraph, k, float(k), deadline=deadline, cache=cache)
     if best is None:
         return None
     low, high = 1.0, best.width

@@ -41,10 +41,11 @@ A :class:`MethodSpec` declares everything about one method in one place:
     valid witness for a LocalBIP "yes", but an FHD is not an HD.
 ``witness_required``
     The method's deliverable is the decomposition itself, not just the
-    verdict (``fracimprove``: the Table 6 value is the FHD's width).  A
-    cross-method implied "yes" would have no such witness, so it is
-    suppressed and the method executes instead; implied "no" answers are
-    still used.
+    verdict (``fracimprove``: the Table 6 value is the FHD's width at this
+    k).  It consumes implied "no"s but never an implied "yes": a
+    cross-method one has no such witness, and its own row at a smaller k
+    holds an FHD that is not this k's best, so the method executes
+    instead.
 
 The default registrations happen lazily on first registry access, so this
 module has **no import-time dependency** on :mod:`repro.decomp` and can be

@@ -24,10 +24,11 @@ implies verdicts at other widths.  The index is the derived interval
 ``lo <= width <= hi`` — ``lo`` is one past the largest refuted k, ``hi`` the
 smallest accepted k — and :meth:`ResultStore.get` answers *implied* keys from
 it when no row matches: ``k >= hi`` replays the witnessing yes-row (its
-decomposition is valid evidence at any larger k), ``k < lo`` is a derived
-"no".  Only methods the :mod:`repro.engine.methods` registry marks monotone
-participate (see :data:`MONOTONE_METHODS`); custom registered methods make
-no monotonicity promise.  The index is not stored: every reader derives it
+decomposition is valid evidence at any larger k; a witness-required
+method gets no such "yes"), ``k < lo`` is a derived "no".  Only methods
+the :mod:`repro.engine.methods` registry marks monotone participate (see
+:data:`MONOTONE_METHODS`); custom registered methods make no monotonicity
+promise.  The index is not stored: every reader derives it
 from the fingerprint's rows with one grouped query over ``results``, whose
 primary key already orders them by ``(fingerprint, method, k)``, so it never
 claims more than the rows present can justify.
@@ -547,20 +548,23 @@ class ResultStore:
         the **cross-method** kind interval answers: a "no" needs no witness
         (the refutation lives in another method's rows); a "yes" borrows the
         decomposition of a same-decision-kind method whose witness kind
-        matches (a BalSep GHD is valid evidence for a LocalBIP "yes"), and
-        is suppressed entirely for witness-required methods — their callers
-        want the decomposition, not just the verdict.  Derived answers
-        report zero seconds: no stored attempt ran at this k.  Nothing is
-        implied while the fingerprint's rows contradict each other.
+        matches (a BalSep GHD is valid evidence for a LocalBIP "yes").
+        Witness-required methods consume implied "no"s but never an implied
+        "yes", direct or cross-method: their deliverable is this k's own
+        decomposition (a smaller k's FHD is not this k's best), so they
+        execute instead.  Derived answers report zero seconds: no stored
+        attempt ran at this k.  Nothing is implied while the fingerprint's
+        rows contradict each other.
         """
-        if method not in MONOTONE_METHODS:
+        spec = _methods.get_optional(method)
+        if spec is None or not spec.monotone:
             return None
         with self._lock:
             known = self._answerable(fingerprint, method)
             if known is None:
                 return None
             (lo, hi), kinds = known
-            if hi is not None and k >= hi:
+            if hi is not None and k >= hi and not spec.witness_required:
                 witness = self._conn.execute(
                     "SELECT decomposition FROM results "
                     "WHERE fingerprint = ? AND method = ? AND k = ? AND verdict = ? "
@@ -571,14 +575,13 @@ class ResultStore:
                 return StoredResult(YES, 0.0, decomposition, implied=True)
             if k < lo:
                 return StoredResult(NO, 0.0, implied=True)
-            return self._cross_implied(fingerprint, method, k, kinds)
+            return self._cross_implied(fingerprint, spec, k, kinds)
 
     def _cross_implied(
-        self, fingerprint: str, method: str, k: int, kinds: dict
+        self, fingerprint: str, spec: _methods.MethodSpec, k: int, kinds: dict
     ) -> StoredResult | None:
         """A verdict implied by *other* methods' rows via the width relations."""
-        spec = _methods.get_optional(method)
-        if spec is None or spec.decision_kind is None:
+        if spec.decision_kind is None:
             return None
         lo, hi = kinds.get(spec.decision_kind, (1, None))
         if k < lo:

@@ -9,9 +9,9 @@ ask for it.
 The view replays rather than reimplements: it rebuilds the corpus from the
 manifest, restores the journalled statistics, and then runs the analysis
 protocols (`run_hw_analysis`, `run_ghw_analysis`,
-`run_fractional_analysis`) — the hw and ghw ones exactly as the runner ran
-them, wave by wave — against a replay engine whose every answer comes
-from the experiment's store.  In complete mode a store miss raises
+`run_fractional_analysis`) exactly as the runner ran them, wave by wave,
+against a replay engine whose every answer comes from the experiment's
+store.  In complete mode a store miss raises
 :class:`~repro.experiment.runner.ExperimentError` instead of silently
 computing fresh; ``partial=True`` relaxes that for in-flight experiments
 (missing checks then run in-process, sequentially).
@@ -77,13 +77,7 @@ class _ZeroSecondsStore:
 
 
 class _ReplayEngine(DecompositionEngine):
-    """Sequential engine that answers from the store; ``strict`` forbids work.
-
-    The frac study's in-process fallback bypasses ``_execute`` (it calls
-    ``frac_improve_outcome`` directly), so in complete experiments a missing
-    ``fracimprove`` row recomputes deterministically instead of raising —
-    the hw/ghw guards above it already prove the store is the right one.
-    """
+    """Sequential engine that answers from the store; ``strict`` forbids work."""
 
     def __init__(self, store, strict: bool):
         super().__init__(store=store, jobs=1)
@@ -208,13 +202,13 @@ class ExperimentResults:
 
     @cached_property
     def fractional(self):
-        """The Tables 5/6 study: ImproveHD live, FracImproveHD from store."""
+        """The Tables 5/6 study, replayed (requires the hw sweep's HDs)."""
         self.hw
         return run_fractional_analysis(
             self.repository,
             hw_values=tuple(self.manifest.hw_values),
             timeout=self.manifest.effective_frac_timeout,
-            engine=self._engine,
+            run_batch=self._engine.run_batch,
         )
 
     @cached_property

@@ -18,11 +18,12 @@ journal, so manifest or generator drift fails loudly instead of mixing two
 corpora), statistics, the Figure 4 hw sweep, the Tables 3/4 portfolio
 waves, the Table 6 fractional wave — and every wave goes through
 ``run_batch``, which skips journalled jobs, answers what the store already
-knows, and executes only the remainder.  The hw and ghw phases are the
-analysis protocols themselves (:func:`~repro.analysis.hw_analysis.run_hw_analysis`,
-:func:`~repro.analysis.ghw_analysis.run_ghw_analysis`) handed the runner's
-journalled ``run_batch``, so which checks each phase asks, and in which
-order, is written once.
+knows, and executes only the remainder.  The hw, ghw and frac phases are
+the analysis protocols themselves (:func:`~repro.analysis.hw_analysis.run_hw_analysis`,
+:func:`~repro.analysis.ghw_analysis.run_ghw_analysis`,
+:func:`~repro.analysis.fractional_analysis.run_fractional_analysis`) handed
+the runner's journalled ``run_batch``, so which checks each phase asks, and
+in which order, is written once.
 
 The runner deliberately records *no* analysis results of its own: tables
 are derived later by :class:`repro.experiment.results.ExperimentResults`,
@@ -35,7 +36,7 @@ import json
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-from repro.analysis.fractional_analysis import FRAC_METHOD
+from repro.analysis.fractional_analysis import run_fractional_analysis
 from repro.analysis.ghw_analysis import run_ghw_analysis
 from repro.analysis.hw_analysis import run_hw_analysis
 from repro.benchmark.repository import HyperBenchRepository
@@ -212,7 +213,12 @@ class ExperimentRunner:
             repository, tuple(self.manifest.ghw_ks), timeout, run_batch=run_batch
         )
         self._mark(meta, done_phases, "ghw")
-        self._frac_phase(repository, run_batch)
+        run_fractional_analysis(
+            repository,
+            tuple(self.manifest.hw_values),
+            self.manifest.effective_frac_timeout,
+            run_batch=run_batch,
+        )
         self._mark(meta, done_phases, "frac")
         return summary
 
@@ -273,20 +279,6 @@ class ExperimentRunner:
                 }
             )
         self._mark(meta, done_phases, "stats")
-
-    def _frac_phase(self, repository: HyperBenchRepository, run_batch) -> None:
-        """The Table 6 searches: ``fracimprove`` at each instance's hw.
-
-        Table 5 (ImproveHD) is polynomial and deterministic, so it is not
-        journalled — the results view computes it live from the stored HDs.
-        """
-        timeout = self.manifest.effective_frac_timeout
-        specs = [
-            JobSpec.check(e.hypergraph, e.hw_high, method=FRAC_METHOD, timeout=timeout)
-            for e in repository
-            if e.hw_high in set(self.manifest.hw_values)
-        ]
-        run_batch(specs)
 
 
 # ------------------------------------------------------------------- status

@@ -29,9 +29,9 @@ from __future__ import annotations
 
 import contextvars
 import json
+import os
 import threading
 import time
-import uuid
 from collections import deque
 from contextlib import contextmanager
 from pathlib import Path
@@ -57,7 +57,7 @@ class TraceContext(NamedTuple):
 
 
 def _new_id() -> str:
-    return uuid.uuid4().hex[:16]
+    return os.urandom(8).hex()
 
 
 class Span:

@@ -333,15 +333,15 @@ class TestEngineFractionalStudy:
         engine = DecompositionEngine(store=ResultStore())
         engine_repo = self._repo_with_hw()
         backed = run_fractional_analysis(
-            engine_repo, hw_values=(2, 3), timeout=30.0, engine=engine
+            engine_repo, hw_values=(2, 3), timeout=30.0, run_batch=engine.run_batch
         )
         # Table 5 is deterministic: identical cells
         assert {k: c.counts for k, c in plain.improve_hd.items()} == {
             k: c.counts for k, c in backed.improve_hd.items()
         }
-        # Table 6: both paths seed the bisection with the Table 5 width, so
-        # the achieved widths agree to within the bisection precision and
-        # nothing times out either way
+        # Table 6: both paths run the same bisection, so the achieved widths
+        # agree to within the bisection precision and nothing times out
+        # either way
         for a, b in zip(plain_repo, engine_repo):
             if a.fhw_high is None:
                 assert b.fhw_high is None
@@ -353,12 +353,12 @@ class TestEngineFractionalStudy:
         engine = DecompositionEngine(store=ResultStore())
         first_repo = self._repo_with_hw()
         first = run_fractional_analysis(
-            first_repo, hw_values=(2, 3), timeout=30.0, engine=engine
+            first_repo, hw_values=(2, 3), timeout=30.0, run_batch=engine.run_batch
         )
         misses_before = engine.store.session_misses
         warm_repo = self._repo_with_hw()
         warm = run_fractional_analysis(
-            warm_repo, hw_values=(2, 3), timeout=30.0, engine=engine
+            warm_repo, hw_values=(2, 3), timeout=30.0, run_batch=engine.run_batch
         )
         assert engine.store.session_misses == misses_before
         assert engine.store.session_hits > 0
@@ -368,23 +368,24 @@ class TestEngineFractionalStudy:
 
     def test_frac_outcome_ignores_witness_widths_from_smaller_k(self, triangle):
         """A fracimprove row at k=2 must not masquerade as k=5's optimum:
-        the quality-sensitive replay is exact-k only."""
-        from repro.analysis.fractional_analysis import frac_improve_outcome
-
-        store = ResultStore()
-        frac_improve_outcome(triangle, 2, timeout=30.0, store=store)
-        assert store.methods() == {"fracimprove": 1}
-        outcome = frac_improve_outcome(triangle, 5, timeout=30.0, store=store)
+        the engine serves a witness-required method no implied "yes"."""
+        engine = DecompositionEngine(store=ResultStore())
+        engine.check(triangle, 2, method="fracimprove", timeout=30.0)
+        assert engine.store.methods() == {"fracimprove": 1}
+        outcome = engine.check(triangle, 5, method="fracimprove", timeout=30.0)
         assert outcome.verdict == YES
         # a fresh row was computed and persisted for k=5
-        assert store.methods() == {"fracimprove": 2}
+        assert engine.stats.executed == 2
+        assert engine.store.methods() == {"fracimprove": 2}
 
     def test_parallel_study_books_each_lookup_exactly_once(self):
         """Each entry's fracimprove lookup books exactly one miss (cold) or
         one hit (warm), never both."""
         engine = DecompositionEngine(store=ResultStore())
         repo = self._repo_with_hw()
-        run_fractional_analysis(repo, hw_values=(2, 3), timeout=30.0, engine=engine)
+        run_fractional_analysis(
+            repo, hw_values=(2, 3), timeout=30.0, run_batch=engine.run_batch
+        )
         processed = sum(
             1 for e in repo if e.hw_high in (2, 3) and e.extra.get("hd") is not None
         )
@@ -393,41 +394,13 @@ class TestEngineFractionalStudy:
         assert engine.store.session_hits == 0
         # warm rerun: one hit per entry, misses unchanged
         run_fractional_analysis(
-            self._repo_with_hw(), hw_values=(2, 3), timeout=30.0, engine=engine
+            self._repo_with_hw(),
+            hw_values=(2, 3),
+            timeout=30.0,
+            run_batch=engine.run_batch,
         )
         assert engine.store.session_misses == processed
         assert engine.store.session_hits == processed
-
-    def test_custom_precision_bypasses_the_cache(self):
-        """A row bisected at coarse precision must not be replayed for a
-        finer request — non-default precisions compute live, uncached."""
-        from repro.analysis.fractional_analysis import frac_improve_outcome
-
-        h = random_hypergraph(5)
-        store = ResultStore()
-        coarse = frac_improve_outcome(h, 3, timeout=30.0, precision=1.0, store=store)
-        assert len(store) == 0  # non-default precision is never cached
-        fine = frac_improve_outcome(h, 3, timeout=30.0, precision=0.01, store=store)
-        assert len(store) == 0
-        assert fine.decomposition.width <= coarse.decomposition.width
-        default = frac_improve_outcome(h, 3, timeout=30.0, store=store)
-        assert store.methods() == {"fracimprove": 1}
-        assert default.verdict == YES
-
-    def test_store_backed_hd_warm_start_without_hw_analysis(self, triangle):
-        """A fresh repository with known hw but no in-session HD gets the
-        decomposition replayed from the store."""
-        engine = DecompositionEngine(store=ResultStore())
-        engine.check(triangle, 2, method="hd", timeout=30.0)  # caches the HD
-        repo = HyperBenchRepository()
-        entry = repo.add(triangle, BenchmarkClass.CQ_APPLICATION)
-        entry.hw_high = 2
-        analysis = run_fractional_analysis(
-            repo, hw_values=(2,), timeout=30.0, engine=engine
-        )
-        assert entry.extra.get("hd") is not None
-        assert analysis.cell("improve", 2).counts["[0.5,1)"] == 1  # 2 -> 1.5
-        assert entry.fhw_high == pytest.approx(1.5, abs=0.2)
 
 
 # ------------------------------------------------------------------ CLI surfaces
@@ -452,6 +425,21 @@ class TestCliBounds:
         with ResultStore(cache) as store:
             assert "fracimprove" in store.methods()
             assert store.stats.hits > 0
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_fractional_command_keeps_one_row_per_k(
+        self, triangle_file, tmp_path, capsys, jobs
+    ):
+        """Table 6 is this k's best width: k = 3 runs its own search rather
+        than replaying k = 2's FHD, at any --jobs."""
+        cache = tmp_path / "cache.db"
+        for k in ("2", "3"):
+            args = ["fractional", str(triangle_file), "-k", k, "--cache", str(cache)]
+            assert main([*args, "--jobs", str(jobs)]) == 0
+        assert "FracImproveHD width  1.500 (improvement 1.500)" in capsys.readouterr().out
+        with ResultStore(cache) as store:
+            ks = sorted(row[2] for row in store.export_rows() if row[1] == "fracimprove")
+        assert ks == [2, 3]
 
     def test_fractional_command_without_engine(self, triangle_file, capsys):
         assert main(["fractional", str(triangle_file), "-k", "2"]) == 0

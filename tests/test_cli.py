@@ -75,6 +75,29 @@ class TestDecompose:
         assert code == 0
         assert "1.500" in capsys.readouterr().out
 
+    def test_decompose_improve_honours_the_timeout(self, triangle_file, capsys):
+        """--improve asks the engine's fracimprove check under --timeout."""
+        from repro.engine import methods
+
+        original = methods.get("fracimprove")
+
+        def spin(h, k, deadline=None):
+            while True:
+                deadline.check()
+
+        methods.register_check("fracimprove", spin)
+        try:
+            code = main([
+                "decompose", str(triangle_file), "-k", "2",
+                "--timeout", "0.2", "--improve",
+            ])
+        finally:
+            methods.register(original)
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "HD of width 2" in out
+        assert "best fractional improvement: timeout after " in out
+
 
 class TestBenchmark:
     def test_benchmark_artifacts(self, tmp_path, capsys):

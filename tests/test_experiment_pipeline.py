@@ -222,6 +222,73 @@ class TestRunner:
             with pytest.raises(ExperimentError, match="no stored portfolio"):
                 engine.run_batch([JobSpec.portfolio(triangle, 2)])
 
+    def test_strict_replay_never_computes_a_missing_frac_row(
+        self, tiny_experiment, tmp_path
+    ):
+        """Table 6 replays through the same strict engine: with the
+        fracimprove rows gone, reading it raises and writes nothing."""
+        import shutil
+        import sqlite3
+
+        root = tmp_path / "nofrac"
+        shutil.copytree(tiny_experiment, root)
+        db = ExperimentPaths.at(root).store
+        with sqlite3.connect(db) as conn:
+            deleted = conn.execute(
+                "DELETE FROM results WHERE method = 'fracimprove'"
+            ).rowcount
+        conn.close()
+        assert deleted > 0
+        with open_result_store(db) as store:
+            rows = len(store)
+        with ExperimentResults(root) as results:
+            with pytest.raises(ExperimentError, match="no stored result for fracimprove"):
+                results.fractional
+        with open_result_store(db) as store:
+            assert len(store) == rows
+
+    @pytest.mark.parametrize(
+        "manifest",
+        [
+            Manifest(
+                name="acyclic",
+                timeout=None,
+                max_k=4,
+                sections=[
+                    CorpusSection("cq", params={"queries": ["ans(A) :- p(A,B), q(B,C)."]})
+                ],
+            ),
+            Manifest(
+                name="no-hw-values",
+                timeout=None,
+                max_k=4,
+                sections=[CorpusSection("cycle", 2, params={"size": [3, 5]})],
+                hw_values=[],
+            ),
+        ],
+        ids=["acyclic-only", "empty-hw-values"],
+    )
+    def test_empty_fractional_wave_completes(self, manifest, tmp_path):
+        """A corpus with no instance in ``hw_values`` runs an empty Tables
+        5/6 wave: the experiment completes, resumes with nothing to do and
+        renders both tables without rows."""
+        root = tmp_path / manifest.name
+        run_experiment(root, manifest)
+        assert experiment_status(root).complete
+        engine = DecompositionEngine(
+            store=open_result_store(ExperimentPaths.at(root).store)
+        )
+        try:
+            summary = ExperimentRunner(root, engine, manifest=manifest).run()
+        finally:
+            engine.close()
+        assert summary.executed == 0
+        with ExperimentResults(root) as results:
+            fractional = results.fractional
+            markdown = render_markdown(results)
+        assert fractional.improve_hd == {} and fractional.frac_improve == {}
+        assert "## Table 6: Instances solved with FracImproveHD" in markdown
+
     def test_partial_results_compute_missing_checks_live(self, tmp_path):
         root = tmp_path / "partial"
         root.mkdir()
